@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json certify race cover bench bench-json bench-serve serve-test experiments quick-experiments fmt fmt-check fuzz-smoke chaos chaos-restart
+.PHONY: all build test vet lint lint-json certify race cover bench bench-json bench-serve servebench-check serve-test experiments quick-experiments fmt fmt-check fuzz-smoke chaos chaos-restart
 
 all: build vet lint test
 
@@ -107,6 +107,12 @@ bench-serve:
 	rm -f serve.addr; \
 	./bin/dplearn-trace -check serve_trace.ndjson serve_access.ndjson; check_status=$$?; \
 	exit $$((load_status + serve_status + check_status))
+
+# Vet and test the serving benchmark's driver. _servebench is a module
+# of its own (see its go.mod), so `./...` never compiles it, yet it
+# imports the serve, wal and mechanism packages layer by layer.
+servebench-check:
+	cd _servebench && $(GO) vet . && $(GO) test .
 
 cover:
 	$(GO) test -cover ./...

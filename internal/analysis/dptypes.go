@@ -60,12 +60,12 @@ func methodRecv(pkg *Package, call *ast.CallExpr) (ast.Expr, types.Type) {
 // isTwoPhaseHold reports whether t follows the two-phase hold protocol
 // structurally: Commit and Release protocol methods plus an Amount
 // method returning the held Guarantee. mechanism.Reservation is the
-// in-memory archetype; wal.Txn — the write-ahead-logged wrapper that
-// couples a durable reserve record to the same in-memory hold — is the
-// durable one. Any such type's Commit is the act that turns an admitted
-// hold into a ledger record, so the must-spend rule and the two-phase
-// flow check treat it exactly like a Reservation without keying on the
-// type's name or import path.
+// in-memory archetype; wal.Txn — the durable intent record that must be
+// settled by a commit or a void — is the durable one. The two-phase flow
+// check holds any such type to settle-exactly-once without keying on its
+// name or import path. Only a Reservation's Commit charges: a durable
+// intent's Commit makes an outcome durable, and the spend it records was
+// committed on the accountant.
 func isTwoPhaseHold(t types.Type) bool {
 	if t == nil || !hasMethod(t, "Commit") || !hasMethod(t, "Release") {
 		return false
@@ -105,13 +105,12 @@ func isReleaseCall(pkg *Package, call *ast.CallExpr) bool {
 // accountant: a method named Spend whose single parameter has a named
 // type Guarantee, or a method named SpendDetail whose first parameter
 // does (the ledger-metadata variant — same accounting act, extra
-// observability payload), or a method named Commit on a two-phase hold
-// — a Reservation by name, or any type following the hold protocol
-// structurally (Commit/Release/Amount→Guarantee), such as the
-// WAL-logged wal.Txn. Commit is the second half of the two-phase
-// Reserve/Commit protocol: the guarantee was admitted at Reserve time,
-// and Commit is the act that turns the hold into a ledger record — so
-// Reserve+Commit jointly satisfy the must-spend rule.
+// observability payload), or a method named Commit on a Reservation.
+// Commit is the second half of the two-phase Reserve/Commit protocol:
+// the guarantee was admitted at Reserve time, and Commit is the act that
+// turns the hold into a ledger record — so Reserve+Commit jointly
+// satisfy the must-spend rule. A durable intent's Commit (wal.Txn) is
+// not one: it charges nothing.
 func isSpendCall(pkg *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -119,7 +118,7 @@ func isSpendCall(pkg *Package, call *ast.CallExpr) bool {
 	}
 	if sel.Sel.Name == "Commit" {
 		_, recv := methodRecv(pkg, call)
-		return recv != nil && (namedName(recv) == "Reservation" || isTwoPhaseHold(recv))
+		return recv != nil && namedName(recv) == "Reservation"
 	}
 	if sel.Sel.Name != "Spend" && sel.Sel.Name != "SpendDetail" {
 		return false

@@ -531,7 +531,7 @@ func (st *epsBoundState) mayCharge(key string) bool {
 			direct := false
 			ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					if _, _, ok := chargeOp(node.Pkg, call); ok {
+					if _, ok := chargeOp(node.Pkg, call); ok {
 						direct = true
 					}
 				}
@@ -1065,55 +1065,42 @@ func (cx *costCtx) substBound(b *bound, call *ast.CallExpr) *bound {
 // Charge recognition.
 
 // chargeOp reports whether call charges budget against an accountant: a
-// Spend/SpendDetail whose first parameter is a Guarantee, or a
-// two-phase Reserve returning a hold — a named Reservation, or any type
-// following the hold protocol structurally (the WAL-logged wal.Txn;
-// see isTwoPhaseHold). The returned index names the Guarantee-typed
-// argument carrying the price (WAL-logged Reserve wrappers take the
-// accountant first, so the guarantee is not always argument zero).
-// Commit is deliberately NOT a charge — the guarantee was counted at
-// Reserve time, and acctlint separately enforces the Reserve/Commit
-// pairing.
-func chargeOp(pkg *Package, call *ast.CallExpr) (string, int, bool) {
+// Spend/SpendDetail, or a two-phase Reserve returning a Reservation,
+// whose first parameter — the price — is a Guarantee. Commit is
+// deliberately NOT a charge — the guarantee was counted at Reserve time,
+// and acctlint separately enforces the Reserve/Commit pairing. A wrapper
+// that reserves on an accountant (a write-ahead-logged Reserve, say) is
+// priced through its callee summary like any other charging helper.
+func chargeOp(pkg *Package, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return "", 0, false
+		return "", false
 	}
 	name := sel.Sel.Name
 	switch name {
 	case "Spend", "SpendDetail", "Reserve":
 	default:
-		return "", 0, false
+		return "", false
 	}
 	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
 	if !ok {
-		return "", 0, false
+		return "", false
 	}
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Params().Len() < 1 {
-		return "", 0, false
+	if !ok || sig.Params().Len() < 1 || namedName(sig.Params().At(0).Type()) != "Guarantee" {
+		return "", false
 	}
-	if name == "Reserve" {
-		if sig.Results().Len() < 1 {
-			return "", 0, false
+	switch name {
+	case "Spend":
+		if sig.Params().Len() != 1 {
+			return "", false
 		}
-		if res := sig.Results().At(0).Type(); namedName(res) != "Reservation" && !isTwoPhaseHold(res) {
-			return "", 0, false
+	case "Reserve":
+		if sig.Results().Len() < 1 || namedName(sig.Results().At(0).Type()) != "Reservation" {
+			return "", false
 		}
-		for i := 0; i < sig.Params().Len(); i++ {
-			if namedName(sig.Params().At(i).Type()) == "Guarantee" {
-				return name, i, true
-			}
-		}
-		return "", 0, false
 	}
-	if namedName(sig.Params().At(0).Type()) != "Guarantee" {
-		return "", 0, false
-	}
-	if name == "Spend" && sig.Params().Len() != 1 {
-		return "", 0, false
-	}
-	return name, 0, true
+	return name, true
 }
 
 // ---------------------------------------------------------------------------
@@ -1359,8 +1346,8 @@ func (cx *costCtx) callCost(call *ast.CallExpr) costBound {
 	if lit, ok := unparen(call.Fun).(*ast.FuncLit); ok {
 		return cx.stmtsCost(lit.Body.List)
 	}
-	if op, gi, ok := chargeOp(cx.pkg, call); ok && len(call.Args) > gi {
-		g := cx.guaranteeCost(call.Args[gi])
+	if op, ok := chargeOp(cx.pkg, call); ok && len(call.Args) > 0 {
+		g := cx.guaranteeCost(call.Args[0])
 		cx.event(call.Pos(), 0, fmt.Sprintf("%s ε=%s δ=%s", op, cx.render(g.eps), cx.render(g.delta)))
 		return g
 	}

@@ -331,53 +331,66 @@ func (l *NotARecordLog) Record(line string, d *Dataset, g *RNG) float64 {
 	return l.probe.Release(d, g) // want "un-accounted release"
 }
 
-// Txn is a durable two-phase hold: the WAL-logged wrapper that couples
-// a write-ahead reserve record to an in-memory hold. It bears no
-// Guarantee method, and its name is deliberately not Reservation — the
-// Commit/Release/Amount→Guarantee shape alone makes Commit an
-// accounting act.
-type Txn struct {
-	a *Accountant
-	g Guarantee
-}
+// Txn is a durable intent: the write-ahead reserve record a request
+// settles with a commit or a void. It follows the two-phase hold shape
+// (Commit/Release/Amount→Guarantee) but holds no budget, so its Commit
+// makes an outcome durable and charges nothing.
+type Txn struct{ g Guarantee }
 
-// Commit fsyncs the commit record and records the spend.
-func (t *Txn) Commit(status int) { t.a.spent = append(t.a.spent, t.g) }
+// Commit fsyncs the commit record; the accountant is not touched.
+func (t *Txn) Commit(status int) {}
 
-// Release voids an uncommitted hold.
+// Release voids an uncommitted intent.
 func (t *Txn) Release() {}
 
-// Amount reports the held guarantee — the shape anchor.
+// Amount reports the quoted guarantee — the shape anchor.
 func (t *Txn) Amount() Guarantee { return t.g }
 
-// Ledger is the write-ahead log; Begin admits the guarantee and fsyncs
-// the reserve record before the mechanism runs.
+// Ledger is the write-ahead log; Begin fsyncs the reserve record before
+// the mechanism runs.
 type Ledger struct{}
 
-// Begin opens a durable hold against the accountant.
-func (l *Ledger) Begin(a *Accountant, g Guarantee) (*Txn, error) {
-	return &Txn{a: a, g: g}, nil
+// Begin opens a durable intent quoting g.
+func (l *Ledger) Begin(g Guarantee) (*Txn, error) {
+	return &Txn{g: g}, nil
 }
 
-// DurableAccounted pays through the WAL-logged hold: Commit on a
-// structural hold satisfies must-spend exactly like Reservation.Commit.
+// DurableAccounted wraps a two-phase accountant spend in the durable
+// intent: the Reservation's Commit pays, the Txn's Commit logs it.
 func DurableAccounted(d *Dataset, acct *Accountant, wal *Ledger, g *RNG) (float64, error) {
 	m := &Mech{Epsilon: 1}
-	tx, err := wal.Begin(acct, m.Guarantee())
+	tx, err := wal.Begin(m.Guarantee())
 	if err != nil {
 		return 0, err
 	}
 	defer tx.Release()
+	res := acct.Reserve(m.Guarantee())
+	defer res.Release()
 	v := m.Release(d, g)
+	res.Commit("mech")
 	tx.Commit(200)
 	return v, nil
 }
 
-// DurableNeverCommitted voids the durable hold without committing: the
-// release stays unrecorded, so it still leaks.
-func DurableNeverCommitted(d *Dataset, acct *Accountant, wal *Ledger, g *RNG) (float64, error) {
+// DurableIntentOnly settles the release only with the intent's Commit:
+// a durable record of an outcome is not a charge, so the release leaks.
+func DurableIntentOnly(d *Dataset, wal *Ledger, g *RNG) (float64, error) {
 	m := &Mech{Epsilon: 1}
-	tx, err := wal.Begin(acct, m.Guarantee())
+	tx, err := wal.Begin(m.Guarantee())
+	if err != nil {
+		return 0, err
+	}
+	defer tx.Release()
+	v := m.Release(d, g) // want "un-accounted release"
+	tx.Commit(200)
+	return v, nil
+}
+
+// DurableNeverCommitted voids the durable intent without committing
+// anything: the release stays unrecorded, so it still leaks.
+func DurableNeverCommitted(d *Dataset, wal *Ledger, g *RNG) (float64, error) {
+	m := &Mech{Epsilon: 1}
+	tx, err := wal.Begin(m.Guarantee())
 	if err != nil {
 		return 0, err
 	}

@@ -111,9 +111,9 @@ func ChargeFree(xs []float64) float64 {
 	return total
 }
 
-// Txn is the durable hold returned by the write-ahead ledger: the
-// Commit/Release/Amount→Guarantee shape marks it a two-phase hold
-// structurally, without the name Reservation.
+// Txn is the durable intent returned by the write-ahead ledger. It has
+// the two-phase hold shape, but neither its Reserve wrapper's result nor
+// its Commit is a charge of its own.
 type Txn struct{ g Guarantee }
 
 func (t *Txn) Commit(meta SpendMeta) {}
@@ -121,17 +121,19 @@ func (t *Txn) Release()              {}
 func (t *Txn) Amount() Guarantee     { return t.g }
 
 // Ledger stands in for the write-ahead log. Its Reserve takes the
-// accountant first, so the Guarantee is not argument zero — the
-// analysis must find the price by type, not by position.
+// accountant first and admits the guarantee on it: the charge is the
+// accountant's Reserve, priced through Ledger.Reserve's summary.
 type Ledger struct{}
 
 func (l *Ledger) Reserve(a *Accountant, g Guarantee) (*Txn, error) {
-	a.spent = append(a.spent, g)
+	if _, err := a.Reserve(g); err != nil {
+		return nil, err
+	}
 	return &Txn{g: g}, nil
 }
 
 // DurableQuoted charges through the WAL-logged Reserve: the bound is
-// exactly eps, read from argument index 1.
+// exactly eps, substituted through the wrapper's summary.
 func DurableQuoted(a *Accountant, wal *Ledger, eps float64) error {
 	tx, err := wal.Reserve(a, Guarantee{Epsilon: eps})
 	if err != nil {

@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -72,42 +73,54 @@ func Open(path string, resume bool) (*Log, error) {
 	}
 	l := &Log{f: f, path: path, done: make(map[key]json.RawMessage)}
 	if resume {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-		for sc.Scan() {
+		err := ScanRepair(f, func(line []byte) {
 			var e entry
-			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-				continue // torn tail or corruption: recompute that cell
+			if json.Unmarshal(line, &e) != nil {
+				return // torn tail or corruption: recompute that cell
 			}
 			l.done[key{cell: e.Cell, seed: e.Seed}] = e.Result
-		}
-		if err := sc.Err(); err != nil {
-			_ = f.Close() // the read/seek error supersedes
-			return nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
-		}
-		// Leave the offset at EOF so appended entries follow the survivors,
-		// and terminate a torn final line so the next entry starts fresh
-		// instead of concatenating onto the partial bytes.
-		end, err := f.Seek(0, 2)
+		})
 		if err != nil {
-			_ = f.Close() // the read/seek error supersedes
-			return nil, fmt.Errorf("checkpoint: seek %s: %w", path, err)
-		}
-		if end > 0 {
-			last := make([]byte, 1)
-			if _, err := f.ReadAt(last, end-1); err != nil {
-				_ = f.Close() // the read/seek error supersedes
-				return nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
-			}
-			if last[0] != '\n' {
-				if _, err := f.Write([]byte("\n")); err != nil {
-					_ = f.Close() // the read/seek error supersedes
-					return nil, fmt.Errorf("checkpoint: repair %s: %w", path, err)
-				}
-			}
+			_ = f.Close() // the read/seek/repair error supersedes
+			return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
 		}
 	}
 	return l, nil
+}
+
+// ScanRepair reopens an append-only NDJSON log: it hands every line of
+// f, from the current offset, to line (which skips what it cannot
+// parse — a torn tail or corruption), then leaves the offset at EOF so
+// appends follow the survivors, and terminates a torn final line so the
+// next append starts fresh instead of concatenating onto the partial
+// bytes. The line slice is only valid during the call. Package wal
+// reopens its write-ahead log the same way.
+func ScanRepair(f *os.File, line func([]byte)) error {
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	for sc.Scan() {
+		line(sc.Bytes())
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("read: %w", err)
+	}
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return fmt.Errorf("seek: %w", err)
+	}
+	if end == 0 {
+		return nil
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, end-1); err != nil {
+		return fmt.Errorf("read: %w", err)
+	}
+	if last[0] != '\n' {
+		if _, err := f.Write([]byte("\n")); err != nil {
+			return fmt.Errorf("repair: %w", err)
+		}
+	}
+	return nil
 }
 
 // Path returns the log's file path ("" on a nil log).

@@ -32,12 +32,13 @@ type SpendMeta struct {
 	// spend back to the exact request — across the access log, the span
 	// tree, and the ledger — in per-request ε attribution.
 	Trace string
-	// Charge is the durable-charge scope id of the request the spend
-	// belongs to ("" outside any write-ahead-logged request). The serve
-	// layer stamps it via WithChargeScope so every guarantee a facade
-	// call commits — however it recomputes ε internally — is collected
-	// onto the request's WAL commit record exactly.
-	Charge string
+	// Charge is the scope of the request the spend belongs to (nil
+	// outside any request). Commit sites stamp it from ChargeScopeFrom,
+	// and the accountant appends the committed record to it, so every
+	// guarantee a facade call commits — however it recomputes ε
+	// internally — reaches the request's record exactly. The spend
+	// history drops it: a scope lives only as long as its request.
+	Charge *ChargeScope
 }
 
 // SpendRecord is one accounted release: the guarantee, its metadata,
@@ -106,8 +107,17 @@ func (a *Accountant) SpendDetail(g Guarantee, meta SpendMeta) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.recordLocked(g, meta)
+}
+
+// recordLocked commits one spend: the next sequence number, the history
+// (without the request's charge scope, so the scope dies with its
+// request), the scope, then the observer. Caller holds a.mu.
+func (a *Accountant) recordLocked(g Guarantee, meta SpendMeta) {
 	rec := SpendRecord{Seq: uint64(len(a.spent)), Guarantee: g, Meta: meta}
+	rec.Meta.Charge = nil
 	a.spent = append(a.spent, rec)
+	meta.Charge.add(rec)
 	if a.observer != nil {
 		a.observer(rec)
 	}

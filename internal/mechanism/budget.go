@@ -211,11 +211,7 @@ func (r *Reservation) Commit(meta SpendMeta) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.dropReservationLocked(r)
-	rec := SpendRecord{Seq: uint64(len(a.spent)), Guarantee: r.g, Meta: meta}
-	a.spent = append(a.spent, rec)
-	if a.observer != nil {
-		a.observer(rec)
-	}
+	a.recordLocked(r.g, meta)
 }
 
 // Release abandons the hold, returning its headroom to the budget with

@@ -28,11 +28,12 @@ type AccessRecord struct {
 	// SpentEpsilon is the ε actually committed against the tenant's
 	// budget (0 when the request was refused, failed, or was free).
 	SpentEpsilon float64 `json:"spent_epsilon,omitempty"`
-	// Outcome is the reservation outcome: "committed" (budget charged),
-	// "refused" (admission denied), "free" (no-spend endpoint),
-	// "replayed" (idempotent retry served from the durable outcome store
-	// without a second charge), or "error" (request failed before or
-	// during the release).
+	// Outcome is the reservation outcome: "replayed" (idempotent retry
+	// served from the durable outcome store without a second charge) or
+	// "degraded" (a fallback or widened fit) when the handler says so;
+	// otherwise "committed" exactly when the request charged its budget,
+	// else "refused" (429/503), "free" (a 2xx that spent nothing) or
+	// "error".
 	Outcome string `json:"outcome,omitempty"`
 	// IdempotencyKey is the client-supplied Idempotency-Key header (""
 	// when the request carried none).

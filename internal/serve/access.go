@@ -2,32 +2,34 @@ package serve
 
 import (
 	"context"
-	"sync"
+	"net/http"
 
 	"repro/internal/mechanism"
 )
 
 // accessInfo is the per-request scratchpad behind one access-log line.
 // The tracing middleware allocates it, threads it through the request
-// context, and handlers fill in what they learn (tenant, quoted ε,
-// commit outcome); the middleware renders it into an obs.AccessRecord
-// when the response is written. All spends of a request happen on the
-// request goroutine before the middleware's deferred epilogue runs, so
-// plain fields suffice.
+// context, and handlers fill in what they learn (tenant, quoted ε, a
+// replayed or degraded outcome); the middleware renders it into an
+// obs.AccessRecord when the response is written. What the request spent
+// is not a handler's to say: charges is the request's charge scope,
+// filled by the accountant at every commit. All spends of a request
+// happen on the request goroutine before the middleware's deferred
+// epilogue runs, so plain fields suffice.
 type accessInfo struct {
 	tenant  string
 	quoted  float64
-	spent   float64
 	outcome string
 	idemKey string
+	charges mechanism.ChargeScope
 }
 
 // accessKey is the context key carrying the request's accessInfo.
 type accessKey struct{}
 
-// withAccessInfo returns ctx carrying ai.
+// withAccessInfo returns ctx carrying ai and its charge scope.
 func withAccessInfo(ctx context.Context, ai *accessInfo) context.Context {
-	return context.WithValue(ctx, accessKey{}, ai)
+	return mechanism.WithChargeScope(context.WithValue(ctx, accessKey{}, ai), &ai.charges)
 }
 
 // accessFrom returns the request's accessInfo, or nil (all setters are
@@ -49,15 +51,6 @@ func (ai *accessInfo) setQuoted(eps float64) {
 	}
 }
 
-// setSpent records a handler-side estimate of the committed ε. When the
-// request carried a traceparent, the middleware overrides it with the
-// exact tally the accountant observers accumulated under the trace id.
-func (ai *accessInfo) setSpent(eps float64) {
-	if ai != nil {
-		ai.spent = eps
-	}
-}
-
 func (ai *accessInfo) setOutcome(o string) {
 	if ai != nil {
 		ai.outcome = o
@@ -70,61 +63,26 @@ func (ai *accessInfo) setIdemKey(k string) {
 	}
 }
 
-// traceSpends tallies the ε committed under each in-flight trace id.
-// The tracing middleware registers a request's trace id before the
-// handler runs; every accountant spend observer adds the committed
-// guarantee under the spend's Meta.Trace; the middleware collects the
-// tally when the response is written. This is how the access log's
-// spent_epsilon is exact — it is the sum of the very guarantees the
-// accountant composed, keyed by the trace id that joins them — rather
-// than a handler-side estimate.
-type traceSpends struct {
-	mu sync.Mutex
-	m  map[string]*traceTally
-}
-
-type traceTally struct{ eps, del float64 }
-
-func newTraceSpends() *traceSpends {
-	return &traceSpends{m: make(map[string]*traceTally)}
-}
-
-// begin registers trace as in-flight (nil-safe; "" is ignored).
-func (ts *traceSpends) begin(trace string) {
-	if ts == nil || trace == "" {
-		return
+// settle reads the request's charge scope once the response is written:
+// spent is the commit-order sum of the ε the accountant charged, and the
+// outcome is the handler's replayed/degraded if it set one, otherwise
+// committed exactly when the scope holds a charge, otherwise refused
+// (429/503), free (2xx) or error by status.
+func (ai *accessInfo) settle(status int) (spent float64, outcome string) {
+	recs := ai.charges.Records()
+	for _, r := range recs {
+		spent += r.Guarantee.Epsilon
 	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.m[trace] = &traceTally{}
-}
-
-// add accumulates one committed guarantee under trace. Unregistered
-// traces are ignored, so spends outside the request middleware (tests
-// driving a tenant directly) never leak tallies.
-func (ts *traceSpends) add(trace string, g mechanism.Guarantee) {
-	if ts == nil || trace == "" {
-		return
+	switch {
+	case ai.outcome != "":
+		return spent, ai.outcome
+	case len(recs) > 0:
+		return spent, "committed"
+	case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
+		return spent, "refused"
+	case status >= 200 && status < 300:
+		return spent, "free"
+	default:
+		return spent, "error"
 	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if t, ok := ts.m[trace]; ok {
-		t.eps += g.Epsilon
-		t.del += g.Delta
-	}
-}
-
-// take removes trace's tally and returns its committed ε.
-func (ts *traceSpends) take(trace string) (eps float64, ok bool) {
-	if ts == nil || trace == "" {
-		return 0, false
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	t, found := ts.m[trace]
-	delete(ts.m, trace)
-	if !found {
-		return 0, false
-	}
-	return t.eps, true
 }

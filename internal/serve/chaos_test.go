@@ -11,11 +11,13 @@ import (
 
 // TestChaosNeverHalfSpends drives a mixed request stream through a
 // server whose fault schedule panics workers and fails checkpoint
-// writes inside in-flight requests — in the window where a reservation
-// is held. The contract under fire: every 5xx released (never
-// committed) its reservation, so afterwards the accountant holds
-// exactly one record per 2xx spending response, zero reservations, and
-// the ledger audits bit-for-bit.
+// writes inside in-flight requests. For select and summary the faults
+// fire while spendQuoted holds the reservation; for fit and density
+// they fire before the facade takes its own Reserve, so nothing is held
+// yet. The contract under fire: every 5xx released (never committed)
+// whatever it held, so afterwards the accountant holds exactly one
+// record per 2xx spending response, zero reservations, and the ledger
+// audits bit-for-bit.
 func TestChaosNeverHalfSpends(t *testing.T) {
 	const requests = 160
 	sched := faults.NewSchedule(99, map[faults.Class]float64{

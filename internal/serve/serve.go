@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/faults"
 	"repro/internal/learn"
 	"repro/internal/mechanism"
@@ -103,13 +104,6 @@ type Server struct {
 	inflight *obs.Gauge
 	panics   *obs.Counter
 
-	// spends tallies committed ε per in-flight trace id so the access
-	// log's spent_epsilon is the exact sum the accountant composed.
-	spends *traceSpends
-	// charges tallies the exact committed guarantees per in-flight
-	// durable request, so a WAL commit record carries precisely what the
-	// accountant composed (see chargeSpends).
-	charges *chargeSpends
 	// recovery holds the per-tenant WAL recovery summaries from boot.
 	recovery []RecoveryReport
 	// startWall anchors the wall-clock burn-rate estimate behind the
@@ -117,8 +111,8 @@ type Server struct {
 	// (the hint is a response header, like the loadgen's latencies).
 	startWall time.Time
 
-	// testHookInFlight, when set (tests only), runs inside a spending
-	// handler while its reservation is held — the drain test parks a
+	// testHookInFlight, when set (tests only), runs at a spending
+	// request's in-flight point (see inFlight) — the drain test parks a
 	// request here.
 	testHookInFlight func(endpoint string)
 }
@@ -135,14 +129,11 @@ func New(cfg Config) (*Server, error) {
 		cfg.RetryAfterSeconds = 1
 	}
 	spec := cfg.Learner.withDefaults()
-	spends := newTraceSpends()
-	charges := newChargeSpends()
-	reg, err := newRegistry(cfg.Tenants, spec, cfg.Observer, cfg.Workers, spends, charges)
+	reg, err := newRegistry(cfg.Tenants, spec, cfg.Observer, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, spec: spec, reg: reg, obs: cfg.Observer,
-		spends: spends, charges: charges, startWall: time.Now()}
+	s := &Server{cfg: cfg, spec: spec, reg: reg, obs: cfg.Observer, startWall: time.Now()}
 	if cfg.WALDir != "" {
 		// Recovery before traffic: replay each tenant's surviving WAL,
 		// rebuild its accountant bit-identically (verified against
@@ -239,7 +230,9 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 // adopted (or the request stays untraced), a request span is opened and
 // carried through the context into the facade, the mechanisms, and the
 // parallel engine's chunks, and one access-log line joins the request
-// to the ε it spent.
+// to the ε it spent. The request's charge scope rides the same context:
+// the accountant appends every spend the request commits to it, and the
+// access line, its outcome and the WAL commit all read that one record.
 //
 // Determinism: the span is created whether or not a tracer is wired
 // (silent spans consume identical clock reads), and exemplar attachment
@@ -253,11 +246,7 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 		sp := s.obs.RequestSpan(endpoint, tc)
 		sp.SetAttr("endpoint", endpoint)
 		ai := &accessInfo{}
-		ctx := withAccessInfo(obs.ContextWithSpan(r.Context(), sp), ai)
-		r = r.WithContext(ctx)
-		if tc.Valid() {
-			s.spends.begin(tc.TraceID())
-		}
+		r = r.WithContext(withAccessInfo(obs.ContextWithSpan(r.Context(), sp), ai))
 		start := s.obs.Now()
 		s.inflight.Add(1)
 		defer func() {
@@ -272,20 +261,7 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 			dur := s.obs.Now() - start
 			sp.SetAttr("status", rec.code)
 			sp.End()
-			if eps, ok := s.spends.take(tc.TraceID()); ok {
-				// The exact committed sum beats any handler-side estimate.
-				ai.spent = eps
-			}
-			if ai.outcome == "" {
-				switch {
-				case rec.code == http.StatusTooManyRequests || rec.code == http.StatusServiceUnavailable:
-					ai.outcome = "refused"
-				case rec.code >= 200 && rec.code < 300:
-					ai.outcome = "free"
-				default:
-					ai.outcome = "error"
-				}
-			}
+			spent, outcome := ai.settle(rec.code)
 			mreg := s.obs.Reg()
 			mreg.Counter("dplearn_serve_requests_total",
 				"requests served by endpoint and status code",
@@ -299,8 +275,8 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 				Endpoint:       endpoint,
 				Status:         rec.code,
 				QuotedEpsilon:  ai.quoted,
-				SpentEpsilon:   ai.spent,
-				Outcome:        ai.outcome,
+				SpentEpsilon:   spent,
+				Outcome:        outcome,
 				IdempotencyKey: ai.idemKey,
 				Start:          start,
 				Duration:       dur,
@@ -331,9 +307,14 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, `{"error":"serve: response encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
+	s.writeRaw(w, status, buf.Bytes())
+}
+
+// writeRaw writes pre-encoded JSON response bytes.
+func (s *Server) writeRaw(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(body); err != nil {
 		// The client went away mid-response; there is no one to tell.
 		return
 	}
@@ -415,14 +396,6 @@ func (s *Server) retryAfter(tenantID string, quotedEps float64) int {
 	return hint
 }
 
-// decode parses the JSON body into v.
-func decode(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", errBadRequest, err)
-	}
-	return nil
-}
-
 // tenant resolves the tenant or fails with errUnknownTenant.
 func (s *Server) tenant(id string) (*Tenant, error) {
 	if id == "" {
@@ -435,10 +408,66 @@ func (s *Server) tenant(id string) (*Tenant, error) {
 	return t, nil
 }
 
-// injectFault fires the chaos schedule for this request key: a
-// WorkerPanic unwinds the handler (exercising reservation release on
-// panic paths), a CheckpointWrite becomes a 500-mapped error.
-func (s *Server) injectFault(key int) error {
+// request is what a POST /v1 handler tells serveRequest about its body:
+// where to decode it, and pointers — read once it is decoded — to the
+// tenant it names, the ε it quotes and the seed that keys its durable
+// record and fault schedule. A free endpoint leaves quoted and seed nil.
+type request struct {
+	endpoint string
+	body     any
+	tenant   *string
+	quoted   *float64
+	seed     *int64
+}
+
+// serveRequest is the prelude every POST /v1 handler shares, in one
+// fixed order: decode the body, resolve the tenant it names, stamp the
+// tenant and the quote on the access line, then run the endpoint's own
+// validate. Each failure is written as the error response. A free
+// endpoint then answers with release's payload; a spending one runs
+// release inside the durable envelope.
+func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request, rq request, validate func(t *Tenant) error, release func(ctx context.Context, t *Tenant) (any, error)) {
+	if err := json.NewDecoder(r.Body).Decode(rq.body); err != nil {
+		s.writeError(w, r, "", fmt.Errorf("%w: %v", errBadRequest, err))
+		return
+	}
+	t, err := s.tenant(*rq.tenant)
+	if err != nil {
+		s.writeError(w, r, *rq.tenant, err)
+		return
+	}
+	ai := accessFrom(r.Context())
+	ai.setTenant(t.ID)
+	if rq.quoted != nil {
+		ai.setQuoted(*rq.quoted)
+	}
+	if err := validate(t); err != nil {
+		s.writeError(w, r, t.ID, err)
+		return
+	}
+	if rq.seed == nil {
+		payload, err := release(r.Context(), t)
+		if err != nil {
+			s.writeError(w, r, t.ID, err)
+			return
+		}
+		s.writeJSON(w, http.StatusOK, payload)
+		return
+	}
+	s.durable(w, r, t, rq.endpoint, *rq.seed, *rq.quoted, release)
+}
+
+// inFlight is a spending request's chaos and test seam, passed once its
+// release is about to run: the test hook may park the request there,
+// then the fault schedule fires for the request key — a WorkerPanic
+// unwinds the handler (exercising reservation release on panic paths), a
+// CheckpointWrite becomes a 500-mapped error. select and summary pass it
+// inside the reservation spendQuoted holds; fit and density before the
+// facade takes its own.
+func (s *Server) inFlight(endpoint string, key int) error {
+	if s.testHookInFlight != nil {
+		s.testHookInFlight(endpoint)
+	}
 	sched := s.cfg.Faults
 	if sched == nil {
 		return nil
@@ -455,23 +484,20 @@ func (s *Server) injectFault(key int) error {
 // (composed with every spend and outstanding hold), the deferred
 // Release frees the hold on every error and panic path, and Commit
 // charges exactly the quoted guarantee once the release succeeded. The
-// chaos hook fires while the reservation is held, which is precisely
-// the window the battery must prove never half-spends.
+// in-flight seam fires while the reservation is held, which is
+// precisely the window the chaos battery must prove never half-spends.
 //
 // The release runs under a child span of the request span carried by
 // ctx ("<endpoint>.release"), and the commit is stamped with the span
-// and trace ids, so the resulting ledger record joins back to the
-// request that paid for it.
+// and trace ids and the request's charge scope, so the resulting ledger
+// record joins back to the request that paid for it.
 func (s *Server) spendQuoted(ctx context.Context, t *Tenant, endpoint string, g mechanism.Guarantee, meta mechanism.SpendMeta, key int, release func(ctx context.Context) error) error {
 	res, err := t.Acct.Reserve(g)
 	if err != nil {
 		return err
 	}
 	defer res.Release()
-	if s.testHookInFlight != nil {
-		s.testHookInFlight(endpoint)
-	}
-	if err := s.injectFault(key); err != nil {
+	if err := s.inFlight(endpoint, key); err != nil {
 		return err
 	}
 	sp := obs.SpanFromContext(ctx).Child(endpoint + ".release")
@@ -485,9 +511,6 @@ func (s *Server) spendQuoted(ctx context.Context, t *Tenant, endpoint string, g 
 	meta.Trace = sp.TraceID()
 	meta.Charge = mechanism.ChargeScopeFrom(ctx)
 	res.Commit(meta)
-	ai := accessFrom(ctx)
-	ai.setSpent(g.Epsilon)
-	ai.setOutcome("committed")
 	t.refreshSpent()
 	return nil
 }
@@ -499,97 +522,62 @@ func (s *Server) spendQuoted(ctx context.Context, t *Tenant, endpoint string, g 
 // widened posterior.
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	var req FitRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, r, "", err)
-		return
-	}
-	t, err := s.tenant(req.Tenant)
-	if err != nil {
-		s.writeError(w, r, req.Tenant, err)
-		return
-	}
-	ai := accessFrom(r.Context())
-	ai.setTenant(t.ID)
-	ai.setQuoted(s.spec.Epsilon)
-	d, err := req.Data.dataset()
-	if err != nil {
-		s.writeError(w, r, t.ID, err)
-		return
-	}
-	if d.Dim() != s.spec.Dim {
-		s.writeError(w, r, t.ID, fmt.Errorf("%w: data has %d features, the predictor space has %d",
-			errBadRequest, d.Dim(), s.spec.Dim))
-		return
-	}
-	policy := t.Degrade
-	if req.Degrade != "" {
-		policy, err = core.ParseDegradePolicy(req.Degrade)
-		if err != nil {
-			s.writeError(w, r, t.ID, fmt.Errorf("%w: %v", errBadRequest, err))
-			return
-		}
-	}
-	s.durable(w, r, t, "fit", req.Seed, s.spec.Epsilon, func(ctx context.Context) (any, error) {
-		if s.testHookInFlight != nil {
-			s.testHookInFlight("fit")
-		}
-		if err := s.injectFault(int(req.Seed)); err != nil {
-			return nil, err
-		}
-		fit, err := t.Learner.FitPolicyCtx(ctx, d, rng.New(req.Seed), policy)
-		if err != nil {
-			return nil, err
-		}
-		if fit.Degraded {
-			// A degraded fit released without a fresh charge (cached
-			// re-release or widened posterior); the spends tally stays the
-			// authority for traced requests.
-			ai.setOutcome("degraded")
-		} else {
-			ai.setSpent(s.spec.Epsilon)
-			ai.setOutcome("committed")
-		}
-		t.refreshSpent()
-		return FitResponse{
-			Theta:       fit.Theta,
-			Index:       fit.Index,
-			Degraded:    fit.Degraded,
-			Policy:      fit.Policy.String(),
-			Certificate: certificateJSON(fit.Certificate),
-		}, nil
-	})
+	var d *dataset.Dataset
+	var policy core.DegradePolicy
+	s.serveRequest(w, r, request{endpoint: "fit", body: &req, tenant: &req.Tenant, quoted: &s.spec.Epsilon, seed: &req.Seed},
+		func(t *Tenant) (err error) {
+			if d, err = s.spec.data(&req.Data); err != nil {
+				return err
+			}
+			policy = t.Degrade
+			if req.Degrade != "" {
+				if policy, err = core.ParseDegradePolicy(req.Degrade); err != nil {
+					return fmt.Errorf("%w: %v", errBadRequest, err)
+				}
+			}
+			return nil
+		},
+		func(ctx context.Context, t *Tenant) (any, error) {
+			if err := s.inFlight("fit", int(req.Seed)); err != nil {
+				return nil, err
+			}
+			fit, err := t.Learner.FitPolicyCtx(ctx, d, rng.New(req.Seed), policy)
+			if err != nil {
+				return nil, err
+			}
+			if fit.Degraded {
+				// A cached re-release or a widened posterior; what it paid,
+				// if anything, is in the request's charge scope.
+				accessFrom(ctx).setOutcome("degraded")
+			}
+			t.refreshSpent()
+			return FitResponse{
+				Theta:       fit.Theta,
+				Index:       fit.Index,
+				Degraded:    fit.Degraded,
+				Policy:      fit.Policy.String(),
+				Certificate: certificateJSON(fit.Certificate),
+			}, nil
+		})
 }
 
 // handleCertify evaluates the certificates without releasing; no ε is
 // spent, so budget exhaustion can never refuse it.
 func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	var req CertifyRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, r, "", err)
-		return
-	}
-	t, err := s.tenant(req.Tenant)
-	if err != nil {
-		s.writeError(w, r, req.Tenant, err)
-		return
-	}
-	accessFrom(r.Context()).setTenant(t.ID)
-	d, err := req.Data.dataset()
-	if err != nil {
-		s.writeError(w, r, t.ID, err)
-		return
-	}
-	if d.Dim() != s.spec.Dim {
-		s.writeError(w, r, t.ID, fmt.Errorf("%w: data has %d features, the predictor space has %d",
-			errBadRequest, d.Dim(), s.spec.Dim))
-		return
-	}
-	cert, err := t.Learner.CertifyCtx(r.Context(), d)
-	if err != nil {
-		s.writeError(w, r, t.ID, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, CertifyResponse{Certificate: certificateJSON(cert)})
+	var d *dataset.Dataset
+	s.serveRequest(w, r, request{endpoint: "certify", body: &req, tenant: &req.Tenant},
+		func(*Tenant) (err error) {
+			d, err = s.spec.data(&req.Data)
+			return err
+		},
+		func(ctx context.Context, t *Tenant) (any, error) {
+			cert, err := t.Learner.CertifyCtx(ctx, d)
+			if err != nil {
+				return nil, err
+			}
+			return CertifyResponse{Certificate: certificateJSON(cert)}, nil
+		})
 }
 
 // handleSelect picks one posted candidate by the exponential mechanism
@@ -598,53 +586,40 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 // the quoted ε is reserved, then committed, on the tenant's books.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	var req SelectRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, r, "", err)
-		return
-	}
-	t, err := s.tenant(req.Tenant)
-	if err != nil {
-		s.writeError(w, r, req.Tenant, err)
-		return
-	}
-	ai := accessFrom(r.Context())
-	ai.setTenant(t.ID)
-	ai.setQuoted(req.Epsilon)
-	if err := validEpsilon(req.Epsilon); err != nil {
-		s.writeError(w, r, t.ID, err)
-		return
-	}
-	d, err := req.Data.dataset()
-	if err != nil {
-		s.writeError(w, r, t.ID, err)
-		return
-	}
-	cands, err := candidates(req.Candidates, d.Dim())
-	if err != nil {
-		s.writeError(w, r, t.ID, err)
-		return
-	}
-	s.durable(w, r, t, "select", req.Seed, req.Epsilon, func(ctx context.Context) (any, error) {
-		var selected learn.Candidate
-		loss := learn.ZeroOneLoss{}
-		err := s.spendQuoted(ctx, t, "select", quotedGuarantee(req.Epsilon), mechanism.SpendMeta{
-			Mechanism:   "select",
-			Sensitivity: loss.Bound() / float64(d.Len()),
-			Outcomes:    len(cands),
-		}, int(req.Seed), func(context.Context) error {
-			var rerr error
-			selected, rerr = learn.PrivateSelect(cands, loss, d, req.Epsilon, nil, rng.New(req.Seed))
-			return rerr
+	var d *dataset.Dataset
+	var cands []learn.Candidate
+	s.serveRequest(w, r, request{endpoint: "select", body: &req, tenant: &req.Tenant, quoted: &req.Epsilon, seed: &req.Seed},
+		func(*Tenant) (err error) {
+			if err = validEpsilon(req.Epsilon); err != nil {
+				return err
+			}
+			if d, err = req.Data.dataset(); err != nil {
+				return err
+			}
+			cands, err = candidates(req.Candidates, d.Dim())
+			return err
+		},
+		func(ctx context.Context, t *Tenant) (any, error) {
+			var selected learn.Candidate
+			loss := learn.ZeroOneLoss{}
+			err := s.spendQuoted(ctx, t, "select", quotedGuarantee(req.Epsilon), mechanism.SpendMeta{
+				Mechanism:   "select",
+				Sensitivity: loss.Bound() / float64(d.Len()),
+				Outcomes:    len(cands),
+			}, int(req.Seed), func(context.Context) error {
+				var rerr error
+				selected, rerr = learn.PrivateSelect(cands, loss, d, req.Epsilon, nil, rng.New(req.Seed))
+				return rerr
+			})
+			if err != nil {
+				return nil, err
+			}
+			return SelectResponse{
+				Name:    selected.Name,
+				Theta:   selected.Theta,
+				Epsilon: req.Epsilon,
+			}, nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		return SelectResponse{
-			Name:    selected.Name,
-			Theta:   selected.Theta,
-			Epsilon: req.Epsilon,
-		}, nil
-	})
 }
 
 // handleDensity releases a private histogram density. Both flavors
@@ -653,75 +628,51 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 // ErrBudgetExhausted to 429.
 func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
 	var req DensityRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, r, "", err)
-		return
-	}
-	t, err := s.tenant(req.Tenant)
-	if err != nil {
-		s.writeError(w, r, req.Tenant, err)
-		return
-	}
-	ai := accessFrom(r.Context())
-	ai.setTenant(t.ID)
-	ai.setQuoted(req.Epsilon)
-	if err := validEpsilon(req.Epsilon); err != nil {
-		s.writeError(w, r, t.ID, err)
-		return
-	}
-	d, err := req.Data.dataset()
-	if err != nil {
-		s.writeError(w, r, t.ID, err)
-		return
-	}
-	if req.Feature < 0 || req.Feature >= d.Dim() {
-		s.writeError(w, r, t.ID, fmt.Errorf("%w: feature %d outside [0, %d)", errBadRequest, req.Feature, d.Dim()))
-		return
-	}
-	s.durable(w, r, t, "density", req.Seed, req.Epsilon, func(ctx context.Context) (any, error) {
-		if s.testHookInFlight != nil {
-			s.testHookInFlight("density")
-		}
-		if err := s.injectFault(int(req.Seed)); err != nil {
-			return nil, err
-		}
-		g := rng.New(req.Seed)
-		var est *core.DensityEstimate
-		var err error
-		switch req.Kind {
-		case "", "laplace":
-			bins := req.Bins
-			if bins == 0 {
-				bins = 16
+	var d *dataset.Dataset
+	s.serveRequest(w, r, request{endpoint: "density", body: &req, tenant: &req.Tenant, quoted: &req.Epsilon, seed: &req.Seed},
+		func(*Tenant) (err error) {
+			d, err = featureData(req.Epsilon, &req.Data, req.Feature)
+			return err
+		},
+		func(ctx context.Context, t *Tenant) (any, error) {
+			if err := s.inFlight("density", int(req.Seed)); err != nil {
+				return nil, err
 			}
-			est, err = core.PrivateHistogramDensityCtx(ctx, d, req.Feature, bins, req.Lo, req.Hi, req.Epsilon, t.Acct, g)
-		case "gibbs":
-			choices := req.BinChoices
-			if len(choices) == 0 {
-				choices = []int{4, 8, 16, 32}
+			g := rng.New(req.Seed)
+			var est *core.DensityEstimate
+			var err error
+			switch req.Kind {
+			case "", "laplace":
+				bins := req.Bins
+				if bins == 0 {
+					bins = 16
+				}
+				est, err = core.PrivateHistogramDensityCtx(ctx, d, req.Feature, bins, req.Lo, req.Hi, req.Epsilon, t.Acct, g)
+			case "gibbs":
+				choices := req.BinChoices
+				if len(choices) == 0 {
+					choices = []int{4, 8, 16, 32}
+				}
+				clip := req.Clip
+				if clip <= 0 {
+					clip = 8
+				}
+				est, _, err = core.GibbsHistogramDensityCtx(ctx, d, req.Feature, choices, req.Lo, req.Hi, clip, req.Epsilon, t.Acct, g)
+			default:
+				err = fmt.Errorf("%w: unknown density kind %q (want laplace|gibbs)", errBadRequest, req.Kind)
 			}
-			clip := req.Clip
-			if clip <= 0 {
-				clip = 8
+			if err != nil {
+				return nil, err
 			}
-			est, _, err = core.GibbsHistogramDensityCtx(ctx, d, req.Feature, choices, req.Lo, req.Hi, clip, req.Epsilon, t.Acct, g)
-		default:
-			err = fmt.Errorf("%w: unknown density kind %q (want laplace|gibbs)", errBadRequest, req.Kind)
-		}
-		if err != nil {
-			return nil, err
-		}
-		ai.setSpent(req.Epsilon)
-		ai.setOutcome("committed")
-		t.refreshSpent()
-		return DensityResponse{
-			Lo:      est.Lo,
-			Hi:      est.Hi,
-			Bins:    len(est.Density),
-			Density: est.Density,
-			Epsilon: req.Epsilon,
-		}, nil
-	})
+			t.refreshSpent()
+			return DensityResponse{
+				Lo:      est.Lo,
+				Hi:      est.Hi,
+				Bins:    len(est.Density),
+				Density: est.Density,
+				Epsilon: req.Epsilon,
+			}, nil
+		})
 }
 
 // handleSummary releases the ε-DP feature summary. ReleaseSummary
@@ -731,57 +682,38 @@ func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
 // succeeded.
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	var req SummaryRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, r, "", err)
-		return
-	}
-	t, err := s.tenant(req.Tenant)
-	if err != nil {
-		s.writeError(w, r, req.Tenant, err)
-		return
-	}
-	ai := accessFrom(r.Context())
-	ai.setTenant(t.ID)
-	ai.setQuoted(req.Epsilon)
-	if err := validEpsilon(req.Epsilon); err != nil {
-		s.writeError(w, r, t.ID, err)
-		return
-	}
-	d, err := req.Data.dataset()
-	if err != nil {
-		s.writeError(w, r, t.ID, err)
-		return
-	}
-	if req.Feature < 0 || req.Feature >= d.Dim() {
-		s.writeError(w, r, t.ID, fmt.Errorf("%w: feature %d outside [0, %d)", errBadRequest, req.Feature, d.Dim()))
-		return
-	}
-	s.durable(w, r, t, "summary", req.Seed, req.Epsilon, func(ctx context.Context) (any, error) {
-		var sum *core.PrivateSummary
-		bins := req.Bins
-		if bins == 0 {
-			bins = 16
-		}
-		err := s.spendQuoted(ctx, t, "summary", quotedGuarantee(req.Epsilon), mechanism.SpendMeta{
-			Mechanism: "summary",
-			Outcomes:  bins,
-		}, int(req.Seed), func(ctx context.Context) error {
-			var rerr error
-			sum, rerr = core.ReleaseSummaryCtx(ctx, d, core.SummaryConfig{
-				Feature:   req.Feature,
-				Lo:        req.Lo,
-				Hi:        req.Hi,
-				Bins:      req.Bins,
-				Quantiles: req.Quantiles,
-				Epsilon:   req.Epsilon,
-			}, rng.New(req.Seed))
-			return rerr
+	var d *dataset.Dataset
+	s.serveRequest(w, r, request{endpoint: "summary", body: &req, tenant: &req.Tenant, quoted: &req.Epsilon, seed: &req.Seed},
+		func(*Tenant) (err error) {
+			d, err = featureData(req.Epsilon, &req.Data, req.Feature)
+			return err
+		},
+		func(ctx context.Context, t *Tenant) (any, error) {
+			var sum *core.PrivateSummary
+			bins := req.Bins
+			if bins == 0 {
+				bins = 16
+			}
+			err := s.spendQuoted(ctx, t, "summary", quotedGuarantee(req.Epsilon), mechanism.SpendMeta{
+				Mechanism: "summary",
+				Outcomes:  bins,
+			}, int(req.Seed), func(ctx context.Context) error {
+				var rerr error
+				sum, rerr = core.ReleaseSummaryCtx(ctx, d, core.SummaryConfig{
+					Feature:   req.Feature,
+					Lo:        req.Lo,
+					Hi:        req.Hi,
+					Bins:      req.Bins,
+					Quantiles: req.Quantiles,
+					Epsilon:   req.Epsilon,
+				}, rng.New(req.Seed))
+				return rerr
+			})
+			if err != nil {
+				return nil, err
+			}
+			return summaryResponse(sum, req.Epsilon), nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		return summaryResponse(sum, req.Epsilon), nil
-	})
 }
 
 // handleBudget reports one tenant's books (?tenant=<id>).

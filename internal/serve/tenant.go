@@ -227,7 +227,7 @@ func (sp LearnerSpec) withDefaults() LearnerSpec {
 // newTenant builds one live tenant: accountant with the hard budget,
 // ledger wired as the spend observer (and, when the observer carries a
 // tracer, into the trace stream), learner calibrated to the spec.
-func newTenant(cfg TenantConfig, sp LearnerSpec, o *obs.Observer, workers int, spends *traceSpends, charges *chargeSpends) (*Tenant, error) {
+func newTenant(cfg TenantConfig, sp LearnerSpec, o *obs.Observer, workers int) (*Tenant, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("serve: tenant needs an ID")
 	}
@@ -258,13 +258,10 @@ func newTenant(cfg TenantConfig, sp LearnerSpec, o *obs.Observer, workers int, s
 		"accounted releases committed by the tenant", "tenant", cfg.ID)
 	ledger, releases := t.Ledger, t.releases
 	t.Acct.SetObserver(func(r mechanism.SpendRecord) {
-		// Runs under the accountant's lock: record, tally, count —
-		// nothing more. The trace id stamped on the spend joins the
-		// ledger line to the request span tree; the traceSpends tally is
-		// how the access log's spent_epsilon reports the exact committed
-		// sum rather than a handler-side estimate; and the chargeSpends
-		// tally is how a durable request's WAL commit record carries the
-		// exact guarantees the accountant composed.
+		// Runs under the accountant's lock: record and count — nothing
+		// more. The trace id stamped on the spend joins the ledger line
+		// to the request span tree; the request's own record of what it
+		// spent is its charge scope, which the accountant fills itself.
 		ledger.Record(obs.LedgerRecord{
 			Seq:         r.Seq,
 			Mechanism:   r.Meta.Mechanism,
@@ -275,14 +272,6 @@ func newTenant(cfg TenantConfig, sp LearnerSpec, o *obs.Observer, workers int, s
 			Duration:    r.Meta.Duration,
 			Span:        r.Meta.Span,
 			Trace:       r.Meta.Trace,
-		})
-		spends.add(r.Meta.Trace, r.Guarantee)
-		charges.add(r.Meta.Charge, wal.Charge{
-			Mechanism:   r.Meta.Mechanism,
-			Sensitivity: r.Meta.Sensitivity,
-			Outcomes:    r.Meta.Outcomes,
-			Epsilon:     r.Guarantee.Epsilon,
-			Delta:       r.Guarantee.Delta,
 		})
 		releases.Inc()
 	})
@@ -304,7 +293,7 @@ func newTenant(cfg TenantConfig, sp LearnerSpec, o *obs.Observer, workers int, s
 }
 
 // newRegistry builds the tenant registry in declaration order.
-func newRegistry(cfgs []TenantConfig, sp LearnerSpec, o *obs.Observer, workers int, spends *traceSpends, charges *chargeSpends) (*Registry, error) {
+func newRegistry(cfgs []TenantConfig, sp LearnerSpec, o *obs.Observer, workers int) (*Registry, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("serve: need at least one tenant")
 	}
@@ -313,7 +302,7 @@ func newRegistry(cfgs []TenantConfig, sp LearnerSpec, o *obs.Observer, workers i
 		if _, dup := r.byID[cfg.ID]; dup {
 			return nil, fmt.Errorf("serve: duplicate tenant %q", cfg.ID)
 		}
-		t, err := newTenant(cfg, sp, o, workers, spends, charges)
+		t, err := newTenant(cfg, sp, o, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -336,7 +325,7 @@ func (s *Server) ReloadTenants(cfgs []TenantConfig) (added, raised int, err erro
 	for _, cfg := range cfgs {
 		t, ok := s.reg.Get(cfg.ID)
 		if !ok {
-			nt, nerr := newTenant(cfg, s.spec, s.obs, s.cfg.Workers, s.spends, s.charges)
+			nt, nerr := newTenant(cfg, s.spec, s.obs, s.cfg.Workers)
 			if nerr != nil {
 				errs = append(errs, nerr.Error())
 				continue

@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/mechanism"
 	"repro/internal/obs"
@@ -287,4 +289,139 @@ func TestAccessLogExemplars(t *testing.T) {
 	if !bytes.Contains([]byte(traced), []byte(`trace_id="`+obs.DeriveTraceContext(9).TraceID()+`"`)) {
 		t.Errorf("traced run rendered no exemplar for the request's trace id:\n%s", traced)
 	}
+}
+
+// accessLines parses an access-log buffer into its records.
+func accessLines(t *testing.T, buf *bytes.Buffer) []obs.AccessRecord {
+	t.Helper()
+	tr, err := obs.ReadTraceNDJSON(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.Access
+}
+
+// lastCharge returns the ε of the tenant's most recent committed spend.
+func lastCharge(t *testing.T, tn *Tenant) float64 {
+	t.Helper()
+	recs := tn.Acct.Records()
+	if len(recs) == 0 {
+		t.Fatalf("tenant %s has no spends", tn.ID)
+	}
+	return recs[len(recs)-1].Guarantee.Epsilon
+}
+
+// TestAccessSpentUntracedWiden exhausts a tenant, then widens an
+// untraced fit into the remainder: its access line must report exactly
+// the remainder the accountant charged, not a handler-side guess.
+func TestAccessSpentUntracedWiden(t *testing.T) {
+	var accessBuf bytes.Buffer
+	s, ts := newTestService(t, Config{
+		Tenants:   []TenantConfig{{ID: "solo", Budget: mechanism.Guarantee{Epsilon: 1}}},
+		Learner:   LearnerSpec{Epsilon: 0.8},
+		AccessLog: obs.NewAccessLog(&accessBuf),
+	})
+	data := testData(13, 24, 2)
+	if resp, body := postJSON(t, ts.URL+"/v1/fit", FitRequest{Tenant: "solo", Seed: 1, Data: data}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first fit: HTTP %d: %s", resp.StatusCode, body)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/fit", FitRequest{Tenant: "solo", Seed: 2, Degrade: "widen", Data: data}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("widen fit: HTTP %d: %s", resp.StatusCode, body)
+	}
+	tn, _ := s.Tenants().Get("solo")
+	want := lastCharge(t, tn)
+	lines := accessLines(t, &accessBuf)
+	if len(lines) != 2 {
+		t.Fatalf("access log has %d lines, want 2", len(lines))
+	}
+	got := lines[1]
+	//dplint:ignore floateq the access line must carry the accountant's exact charge
+	if got.SpentEpsilon != want || want <= 0 {
+		t.Errorf("widen fit logged spent=%.17g, accountant charged %.17g", got.SpentEpsilon, want)
+	}
+	if got.Outcome != "degraded" {
+		t.Errorf("widen fit outcome %q, want degraded", got.Outcome)
+	}
+}
+
+// TestAccessSpentSharedTraceparent parks a traced widen fit before its
+// reservation, serves a certify under the same traceparent (the retry
+// client re-sends one), then lets the fit commit: each request's line
+// reports its own charge — the certify nothing, the fit exactly what the
+// accountant charged it.
+func TestAccessSpentSharedTraceparent(t *testing.T) {
+	var accessBuf bytes.Buffer
+	s, ts := newTestService(t, Config{
+		Tenants:   []TenantConfig{{ID: "solo", Budget: mechanism.Guarantee{Epsilon: 1}}},
+		Learner:   LearnerSpec{Epsilon: 0.8},
+		AccessLog: obs.NewAccessLog(&accessBuf),
+	})
+	data := testData(13, 24, 2)
+	if resp, body := postJSON(t, ts.URL+"/v1/fit", FitRequest{Tenant: "solo", Seed: 1, Data: data}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first fit: HTTP %d: %s", resp.StatusCode, body)
+	}
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	s.testHookInFlight = func(endpoint string) {
+		if endpoint == "fit" {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+		}
+	}
+	tc := obs.DeriveTraceContext(77)
+	b, err := json.Marshal(FitRequest{Tenant: "solo", Seed: 2, Degrade: "widen", Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fitReq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/fit", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fitReq.Header.Set("traceparent", tc.Traceparent())
+	done := make(chan int, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(fitReq)
+		if err != nil {
+			t.Errorf("parked widen fit: %v", err)
+			done <- 0
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("traced fit never reached its in-flight point")
+	}
+	if resp, body := postTraced(t, ts.URL+"/v1/certify", tc, CertifyRequest{Tenant: "solo", Data: data}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("certify: HTTP %d: %s", resp.StatusCode, body)
+	}
+	close(release)
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("parked widen fit: HTTP %d", code)
+	}
+	tn, _ := s.Tenants().Get("solo")
+	want := lastCharge(t, tn)
+	byEndpoint := map[string]obs.AccessRecord{}
+	for _, ar := range accessLines(t, &accessBuf) {
+		if ar.Trace == tc.TraceID() {
+			byEndpoint[ar.Endpoint] = ar
+		}
+	}
+	if len(byEndpoint) != 2 {
+		t.Fatalf("want a fit and a certify line under trace %s, got %+v", tc.TraceID(), byEndpoint)
+	}
+	//dplint:ignore floateq the access line must carry the accountant's exact charge
+	if fit := byEndpoint["fit"]; fit.SpentEpsilon != want || want <= 0 || fit.Outcome != "degraded" {
+		t.Errorf("fit logged spent=%.17g outcome=%q, accountant charged %.17g", fit.SpentEpsilon, fit.Outcome, want)
+	}
+	//dplint:ignore floateq a free request must report the exact zero
+	if cert := byEndpoint["certify"]; cert.SpentEpsilon != 0 || cert.Outcome != "free" {
+		t.Errorf("certify logged spent=%.17g outcome=%q, want 0 free", cert.SpentEpsilon, cert.Outcome)
+	}
+	checkBooks(t, tn)
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
-	"strconv"
 	"sync"
 
 	"repro/internal/faults"
@@ -30,67 +29,6 @@ const replayedHeader = "Idempotency-Replayed"
 // flight: the retry arrived before the original settled, and running
 // both would risk a double release. Mapped to 409.
 var errDuplicateKey = errors.New("serve: idempotency key already in flight")
-
-// chargeSpends collects the exact guarantees committed under each
-// in-flight durable request, keyed by a server-assigned charge-scope id
-// (mirroring traceSpends, which does the same for the access log's ε
-// sum). The durable envelope opens a scope, the facade's commit sites
-// stamp SpendMeta.Charge from the request context, the tenant's
-// accountant observer deposits each committed guarantee here, and the
-// envelope collects them onto the WAL commit record — so the record
-// carries the guarantees the accountant actually composed, bit for bit,
-// even when the mechanism recomputed ε internally (a widened fit, a
-// recalibrated Gibbs density).
-type chargeSpends struct {
-	mu  sync.Mutex
-	seq uint64
-	m   map[string][]wal.Charge
-}
-
-func newChargeSpends() *chargeSpends {
-	return &chargeSpends{m: make(map[string][]wal.Charge)}
-}
-
-// begin opens a fresh charge scope and returns its id.
-func (cs *chargeSpends) begin() string {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.seq++
-	id := "c" + strconv.FormatUint(cs.seq, 10)
-	cs.m[id] = nil
-	return id
-}
-
-// add deposits one committed guarantee under scope id. Unregistered
-// scopes are ignored (spends outside any durable envelope).
-func (cs *chargeSpends) add(id string, c wal.Charge) {
-	if cs == nil || id == "" {
-		return
-	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if _, ok := cs.m[id]; ok {
-		cs.m[id] = append(cs.m[id], c)
-	}
-}
-
-// take closes the scope and returns its collected charges in commit
-// order.
-func (cs *chargeSpends) take(id string) []wal.Charge {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	out := cs.m[id]
-	delete(cs.m, id)
-	return out
-}
-
-// drop closes the scope discarding its charges (deferred cleanup for
-// error paths; a no-op after take).
-func (cs *chargeSpends) drop(id string) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	delete(cs.m, id)
-}
 
 // idemOutcome is one settled response held for replay.
 type idemOutcome struct {
@@ -284,16 +222,6 @@ func (s *Server) crash(c faults.Class, key int, t *Tenant) {
 	panic(fmt.Errorf("%w: %s at site %d (simulated process death)", faults.ErrInjected, c, key))
 }
 
-// writeRaw writes pre-encoded JSON response bytes.
-func (s *Server) writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if _, err := w.Write(body); err != nil {
-		// The client went away mid-response; there is no one to tell.
-		return
-	}
-}
-
 // durable wraps one spending endpoint body in the write-ahead envelope
 // that makes its charge crash-recoverable and its retry idempotent. The
 // ordering is the whole argument:
@@ -305,15 +233,15 @@ func (s *Server) writeRaw(w http.ResponseWriter, status int, body []byte) {
 //     this point leaves durable evidence of the in-flight intent.
 //  3. the body runs: in-memory admission (429 on refusal), the
 //     mechanism, the in-memory two-phase commit. Every guarantee it
-//     commits is collected under this request's charge scope.
+//     commits lands in the request's charge scope (see instrument).
 //  4. the response is marshaled, and a commit record carrying its
-//     status, fingerprint, body, and exact charges is appended and
-//     fsynced BEFORE any response byte reaches the client. A crash
-//     after the in-memory commit but before this point loses only
-//     state a crash erases anyway — and since the response never
-//     escaped, recovery correctly settles the reserve as void: by the
-//     information-theoretic reading, an emission that never happened
-//     leaks nothing and costs nothing.
+//     status, fingerprint, body, and the scope's exact charges is
+//     appended and fsynced BEFORE any response byte reaches the
+//     client. A crash after the in-memory commit but before this
+//     point loses only state a crash erases anyway — and since the
+//     response never escaped, recovery correctly settles the reserve
+//     as void: by the information-theoretic reading, an emission that
+//     never happened leaks nothing and costs nothing.
 //  5. only then do the bytes escape. If the durable commit fails
 //     without a crash, the client gets a 5xx and the in-memory charge
 //     stands — conservative over-counting, never under-counting.
@@ -327,7 +255,7 @@ func (s *Server) writeRaw(w http.ResponseWriter, status int, body []byte) {
 // flow — including idempotent replay within the process lifetime — is
 // unchanged, consuming zero additional clock reads, so WAL-less servers
 // keep the goldened /metrics surface byte-identical.
-func (s *Server) durable(w http.ResponseWriter, r *http.Request, t *Tenant, endpoint string, seed int64, quoted float64, body func(ctx context.Context) (any, error)) {
+func (s *Server) durable(w http.ResponseWriter, r *http.Request, t *Tenant, endpoint string, seed int64, quoted float64, body func(ctx context.Context, t *Tenant) (any, error)) {
 	ai := accessFrom(r.Context())
 	key := r.Header.Get(idempotencyHeader)
 	if key != "" {
@@ -356,7 +284,7 @@ func (s *Server) durable(w http.ResponseWriter, r *http.Request, t *Tenant, endp
 
 // serveDurable is the envelope past the idempotency gate; split out so
 // the claim's abandon/settle pairing in durable stays readable.
-func (s *Server) serveDurable(w http.ResponseWriter, r *http.Request, t *Tenant, endpoint string, seed int64, quoted float64, key string, body func(ctx context.Context) (any, error)) {
+func (s *Server) serveDurable(w http.ResponseWriter, r *http.Request, t *Tenant, endpoint string, seed int64, quoted float64, key string, body func(ctx context.Context, t *Tenant) (any, error)) {
 	s.crash(faults.WALCrashPreReserve, int(seed), t)
 	tx, err := t.wal.Begin(wal.Intent{Endpoint: endpoint, Key: key, Seed: seed, Epsilon: quoted})
 	if err != nil {
@@ -365,9 +293,7 @@ func (s *Server) serveDurable(w http.ResponseWriter, r *http.Request, t *Tenant,
 	}
 	defer tx.Release()
 	s.crash(faults.WALCrashPostReserve, int(seed), t)
-	scope := s.charges.begin()
-	defer s.charges.drop(scope)
-	payload, err := body(mechanism.WithChargeScope(r.Context(), scope))
+	payload, err := body(r.Context(), t)
 	if err != nil {
 		s.writeError(w, r, t.ID, err)
 		return
@@ -381,7 +307,7 @@ func (s *Server) serveDurable(w http.ResponseWriter, r *http.Request, t *Tenant,
 	if err := tx.Commit(mechanism.SpendMeta{}, wal.Outcome{
 		Status:   http.StatusOK,
 		Response: buf.Bytes(),
-		Charges:  s.charges.take(scope),
+		Charges:  walCharges(mechanism.ChargeScopeFrom(r.Context()).Records()),
 	}); err != nil {
 		// The charge is in memory but not durable, and the response must
 		// not escape without its durable commit; 5xx and let the client
@@ -399,4 +325,20 @@ func (s *Server) serveDurable(w http.ResponseWriter, r *http.Request, t *Tenant,
 		})
 	}
 	s.writeRaw(w, http.StatusOK, buf.Bytes())
+}
+
+// walCharges converts a request's committed spends into the commit
+// record's charges, in commit order.
+func walCharges(recs []mechanism.SpendRecord) []wal.Charge {
+	var out []wal.Charge
+	for _, r := range recs {
+		out = append(out, wal.Charge{
+			Mechanism:   r.Meta.Mechanism,
+			Sensitivity: r.Meta.Sensitivity,
+			Outcomes:    r.Meta.Outcomes,
+			Epsilon:     r.Guarantee.Epsilon,
+			Delta:       r.Guarantee.Delta,
+		})
+	}
+	return out
 }

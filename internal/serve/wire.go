@@ -261,6 +261,36 @@ func validEpsilon(eps float64) error {
 	return nil
 }
 
+// data converts a posted dataset for the learner's predictor space (fit,
+// certify): it must carry exactly the spec's feature dimension.
+func (sp LearnerSpec) data(dj *DataJSON) (*dataset.Dataset, error) {
+	d, err := dj.dataset()
+	if err != nil {
+		return nil, err
+	}
+	if d.Dim() != sp.Dim {
+		return nil, fmt.Errorf("%w: data has %d features, the predictor space has %d",
+			errBadRequest, d.Dim(), sp.Dim)
+	}
+	return d, nil
+}
+
+// featureData validates a quoted release over one feature (density,
+// summary): the ε first, then the dataset, then the feature index.
+func featureData(eps float64, dj *DataJSON, feature int) (*dataset.Dataset, error) {
+	if err := validEpsilon(eps); err != nil {
+		return nil, err
+	}
+	d, err := dj.dataset()
+	if err != nil {
+		return nil, err
+	}
+	if feature < 0 || feature >= d.Dim() {
+		return nil, fmt.Errorf("%w: feature %d outside [0, %d)", errBadRequest, feature, d.Dim())
+	}
+	return d, nil
+}
+
 // candidates converts and validates the wire candidates against the
 // validation data's dimension (a short theta would index out of range
 // deep in the quality function).

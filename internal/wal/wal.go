@@ -1,8 +1,8 @@
 // Package wal is the write-ahead privacy ledger: an append-only,
 // fsync-on-append NDJSON intent log that makes per-tenant budget state
-// crash-recoverable. It layers the torn-tail-repair idiom of package
-// checkpoint under a two-phase record protocol shaped after the
-// accountant's Reserve/Commit:
+// crash-recoverable. It reopens through package checkpoint's torn-tail
+// repair (ScanRepair) and layers a two-phase record protocol shaped after
+// the accountant's Reserve/Commit over it:
 //
 //   - a "reserve" record is durable (written and fsynced) before the
 //     mechanism runs, so a crash mid-release leaves evidence of the
@@ -32,7 +32,6 @@
 package wal
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -42,6 +41,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/checkpoint"
 	"repro/internal/mechanism"
 )
 
@@ -142,7 +142,7 @@ type Log struct {
 // surviving records in LSN order. Torn or corrupt trailing lines — the
 // signature of a killed writer — are skipped, the final torn line is
 // terminated, and the offset is left at EOF so appends follow the
-// survivors (the checkpoint package's repair idiom).
+// survivors (checkpoint.ScanRepair).
 func Open(path string) (*Log, []Record, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -150,42 +150,22 @@ func Open(path string) (*Log, []Record, error) {
 	}
 	l := &Log{f: f, path: path}
 	var recs []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
+	err = checkpoint.ScanRepair(f, func(line []byte) {
 		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			continue // torn tail or corruption: the record never became durable
+		if json.Unmarshal(line, &rec) != nil {
+			return // torn tail or corruption: the record never became durable
 		}
 		if rec.Op == "" || rec.LSN == 0 {
-			continue // structurally valid JSON that is not a WAL record
+			return // structurally valid JSON that is not a WAL record
 		}
 		recs = append(recs, rec)
 		if rec.LSN > l.lsn {
 			l.lsn = rec.LSN
 		}
-	}
-	if err := sc.Err(); err != nil {
-		_ = f.Close() // the read error supersedes
-		return nil, nil, fmt.Errorf("wal: read %s: %w", path, err)
-	}
-	end, err := f.Seek(0, 2)
+	})
 	if err != nil {
-		_ = f.Close() // the seek error supersedes
-		return nil, nil, fmt.Errorf("wal: seek %s: %w", path, err)
-	}
-	if end > 0 {
-		last := make([]byte, 1)
-		if _, err := f.ReadAt(last, end-1); err != nil {
-			_ = f.Close() // the read error supersedes
-			return nil, nil, fmt.Errorf("wal: read %s: %w", path, err)
-		}
-		if last[0] != '\n' {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				_ = f.Close() // the repair error supersedes
-				return nil, nil, fmt.Errorf("wal: repair %s: %w", path, err)
-			}
-		}
+		_ = f.Close() // the read/seek/repair error supersedes
+		return nil, nil, fmt.Errorf("wal: %s: %w", path, err)
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].LSN < recs[j].LSN })
 	return l, recs, nil
@@ -285,15 +265,16 @@ type Intent struct {
 	Epsilon float64
 }
 
-// Txn is one two-phase WAL transaction: a durable hold that must be
+// Txn is one two-phase WAL transaction: a durable intent that must be
 // settled by exactly one Commit or Release on every path, mirroring
-// mechanism.Reservation's protocol (and, when opened with Log.Reserve,
-// carrying the accountant's hold inside it). The zero-value contract
-// matches the reservation's: a Txn from a nil log settles as a no-op.
+// mechanism.Reservation's protocol. It holds no budget — admission and
+// the charge itself stay on the accountant — so its Commit charges
+// nothing; it makes the request's outcome durable. The zero-value
+// contract matches the reservation's: a Txn from a nil log settles as a
+// no-op.
 type Txn struct {
 	log *Log
 	lsn uint64
-	res *mechanism.Reservation
 	g   mechanism.Guarantee
 
 	mu      sync.Mutex
@@ -304,8 +285,9 @@ type Txn struct {
 // fsynced) and returns the transaction to settle. On a nil log it
 // returns a no-op transaction, so WAL-disabled callers run unchanged.
 func (l *Log) Begin(it Intent) (*Txn, error) {
+	tx := &Txn{log: l, g: mechanism.Guarantee{Epsilon: it.Epsilon}}
 	if l == nil {
-		return &Txn{}, nil
+		return tx, nil
 	}
 	lsn, err := l.Append(Record{
 		Op:       OpReserve,
@@ -317,35 +299,13 @@ func (l *Log) Begin(it Intent) (*Txn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Txn{log: l, lsn: lsn}, nil
-}
-
-// Reserve couples the durable intent record with budget admission: the
-// reserve line is fsynced first (so recovery sees the in-flight intent
-// even if the process dies inside the accountant), then the guarantee
-// is admitted against acct. On refusal the orphaned intent is settled
-// with a best-effort void and the admission error is returned. The
-// returned Txn carries the accountant's hold: Commit settles the log
-// and then charges the books; Release voids the log and returns the
-// headroom. It is the WAL-logged form of acct.Reserve — the linters'
-// two-phase must-settle obligation applies to it identically.
-func (l *Log) Reserve(acct *mechanism.Accountant, g mechanism.Guarantee, it Intent) (*Txn, error) {
-	tx, err := l.Begin(it)
-	if err != nil {
-		return nil, err
-	}
-	res, err := acct.Reserve(g)
-	if err != nil {
-		tx.Release() // settle the orphaned intent: nothing ran, nothing escaped
-		return nil, err
-	}
-	tx.res = res
-	tx.g = g
+	tx.lsn = lsn
 	return tx, nil
 }
 
-// Amount returns the reserved guarantee (zero for an intent-only
-// transaction from Begin).
+// Amount returns the intent's quoted guarantee. The Commit/Release plus
+// Amount() Guarantee shape is what makes the linters hold a Txn to the
+// settle-exactly-once discipline of a Reservation.
 func (tx *Txn) Amount() mechanism.Guarantee {
 	if tx == nil {
 		return mechanism.Guarantee{}
@@ -353,17 +313,14 @@ func (tx *Txn) Amount() mechanism.Guarantee {
 	return tx.g
 }
 
-// Commit settles the transaction as charged: the commit record —
-// status, response fingerprint and body, exact charges — is written and
-// fsynced FIRST, and only then is the in-memory hold committed. The
-// ordering is the durability argument: if Commit returns nil the charge
-// is on disk before any response byte can escape, and if the durable
-// append fails the in-memory books are never charged (the caller's
-// deferred Release frees the hold and the client sees a 5xx, so
-// commit-xor-5xx holds on the failure path too). When the Txn carries
-// an accountant hold and out.Charges is empty, the hold's own guarantee
-// is logged as the single exact charge.
-func (tx *Txn) Commit(meta mechanism.SpendMeta, out Outcome) error {
+// Commit settles the transaction as committed: the commit record —
+// status, response fingerprint and body, the exact charges in
+// out.Charges — is written and fsynced before Commit returns, so if it
+// returns nil the outcome is on disk before any response byte can
+// escape; if the append fails the caller answers 5xx (commit-xor-5xx).
+// The SpendMeta argument is ignored: a Txn charges nothing itself, and
+// the accountant already recorded the charges out.Charges lists.
+func (tx *Txn) Commit(_ mechanism.SpendMeta, out Outcome) error {
 	if tx == nil {
 		return nil
 	}
@@ -373,21 +330,11 @@ func (tx *Txn) Commit(meta mechanism.SpendMeta, out Outcome) error {
 		panic("wal: Txn.Commit on a settled transaction")
 	}
 	if tx.log != nil {
-		charges := out.Charges
-		if len(charges) == 0 && tx.res != nil {
-			charges = []Charge{{
-				Mechanism:   meta.Mechanism,
-				Sensitivity: meta.Sensitivity,
-				Outcomes:    meta.Outcomes,
-				Epsilon:     tx.g.Epsilon,
-				Delta:       tx.g.Delta,
-			}}
-		}
 		rec := Record{
 			Op:      OpCommit,
 			Ref:     tx.lsn,
 			Status:  out.Status,
-			Charges: charges,
+			Charges: out.Charges,
 		}
 		if out.Response != nil {
 			rec.Fingerprint = Fingerprint(out.Response)
@@ -398,13 +345,11 @@ func (tx *Txn) Commit(meta mechanism.SpendMeta, out Outcome) error {
 		}
 	}
 	tx.settled = true
-	tx.res.Commit(meta) // nil-reservation no-op for intent-only transactions
 	return nil
 }
 
-// Release settles the transaction as abandoned: the accountant hold (if
-// any) returns to the budget and a void record settles the reserve
-// line. The void append is best-effort — a missing void is equivalent
+// Release settles the transaction as abandoned: a void record settles
+// the reserve line. The void append is best-effort — a missing void is equivalent
 // to a void at recovery (reserve without commit), which is exactly the
 // crash semantics. After Commit (or a second Release) it is a no-op, so
 // `defer tx.Release()` is the canonical cleanup.
@@ -418,7 +363,6 @@ func (tx *Txn) Release() {
 		return
 	}
 	tx.settled = true
-	tx.res.Release()
 	if tx.log != nil {
 		_, _ = tx.log.Append(Record{Op: OpVoid, Ref: tx.lsn}) //dplint:ignore errdrop a lost void is indistinguishable from — and settled like — a crash before the void
 	}

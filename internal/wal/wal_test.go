@@ -151,88 +151,54 @@ func TestReplaySettlement(t *testing.T) {
 	}
 }
 
-func TestTxnCommitChargesBooks(t *testing.T) {
+func TestTxnCommitLogsOutcome(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tx.wal")
 	l, _ := openT(t, path)
-	acct := &mechanism.Accountant{}
-	if err := acct.SetBudget(mechanism.Guarantee{Epsilon: 1}); err != nil {
-		t.Fatal(err)
-	}
-	g := mechanism.Guarantee{Epsilon: 0.5}
-	tx, err := l.Reserve(acct, g, Intent{Endpoint: "fit", Key: "k", Seed: 3, Epsilon: 0.5})
+	tx, err := l.Begin(Intent{Endpoint: "fit", Key: "k", Seed: 3, Epsilon: 0.5})
 	if err != nil {
-		t.Fatalf("Reserve: %v", err)
+		t.Fatalf("Begin: %v", err)
 	}
-	if tx.Amount() != g {
-		t.Fatalf("Amount=%+v, want %+v", tx.Amount(), g)
+	if g := tx.Amount(); g != (mechanism.Guarantee{Epsilon: 0.5}) {
+		t.Fatalf("Amount=%+v, want the quoted ε=0.5", g)
 	}
 	body := []byte(`{"ok":true}`)
-	if err := tx.Commit(mechanism.SpendMeta{Mechanism: "gibbs"}, Outcome{Status: 200, Response: body}); err != nil {
+	charges := []Charge{{Mechanism: "gibbs", Epsilon: 0.25}, {Mechanism: "laplace", Epsilon: 0.125}}
+	if err := tx.Commit(mechanism.SpendMeta{Mechanism: "ignored"}, Outcome{Status: 200, Response: body, Charges: charges}); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
 	tx.Release() // post-commit Release must be a no-op
-	if acct.Count() != 1 || acct.Reserved() != 0 {
-		t.Fatalf("books: count=%d reserved=%d, want 1/0", acct.Count(), acct.Reserved())
-	}
-	if got := acct.BasicComposition().Epsilon; got != 0.5 {
-		t.Fatalf("composed ε=%v, want 0.5", got)
-	}
 	l.Close()
 	_, recs := openT(t, path)
 	st := Replay(recs)
-	if len(st.Commits) != 1 || len(st.Unsettled) != 0 {
-		t.Fatalf("replay: commits=%d unsettled=%d", len(st.Commits), len(st.Unsettled))
+	if len(st.Commits) != 1 || len(st.Unsettled) != 0 || st.Voided != 0 {
+		t.Fatalf("replay: commits=%d unsettled=%d voided=%d", len(st.Commits), len(st.Unsettled), st.Voided)
 	}
-	// An empty Outcome.Charges defaults to the hold's own guarantee.
-	ch := st.Charges()
-	if len(ch) != 1 || ch[0].Epsilon != 0.5 || ch[0].Mechanism != "gibbs" {
-		t.Fatalf("defaulted charge mangled: %+v", ch)
+	// The commit logs exactly the charges it was handed, in order.
+	if got := st.Charges(); len(got) != 2 || got[0] != charges[0] || got[1] != charges[1] {
+		t.Fatalf("commit charges %+v, want %+v", got, charges)
 	}
 	if st.Commits[0].Fingerprint != Fingerprint(body) {
 		t.Fatalf("commit fingerprint mangled")
+	}
+	if o := st.Outcomes["k"]; o.Status != 200 || string(o.Response) != string(body) {
+		t.Fatalf("keyed outcome %+v not restorable", o)
 	}
 }
 
 func TestTxnReleaseVoids(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rel.wal")
 	l, _ := openT(t, path)
-	acct := &mechanism.Accountant{}
-	if err := acct.SetBudget(mechanism.Guarantee{Epsilon: 1}); err != nil {
-		t.Fatal(err)
-	}
-	tx, err := l.Reserve(acct, mechanism.Guarantee{Epsilon: 0.5}, Intent{Endpoint: "fit"})
+	tx, err := l.Begin(Intent{Endpoint: "fit", Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tx.Release()
 	tx.Release() // idempotent
-	if acct.Count() != 0 || acct.Reserved() != 0 {
-		t.Fatalf("release left books dirty: count=%d reserved=%d", acct.Count(), acct.Reserved())
-	}
 	l.Close()
 	_, recs := openT(t, path)
 	st := Replay(recs)
 	if st.Voided != 1 || len(st.Unsettled) != 0 || len(st.Commits) != 0 {
 		t.Fatalf("replay after release: voided=%d unsettled=%d commits=%d", st.Voided, len(st.Unsettled), len(st.Commits))
-	}
-}
-
-func TestReserveAdmissionRefusalVoidsIntent(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "adm.wal")
-	l, _ := openT(t, path)
-	acct := &mechanism.Accountant{}
-	if err := acct.SetBudget(mechanism.Guarantee{Epsilon: 0.1}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := l.Reserve(acct, mechanism.Guarantee{Epsilon: 0.5}, Intent{Endpoint: "fit"})
-	if !errors.Is(err, mechanism.ErrBudgetExhausted) {
-		t.Fatalf("err=%v, want ErrBudgetExhausted", err)
-	}
-	l.Close()
-	_, recs := openT(t, path)
-	st := Replay(recs)
-	if st.Voided != 1 || len(st.Unsettled) != 0 {
-		t.Fatalf("refused admission must settle its intent: voided=%d unsettled=%d", st.Voided, len(st.Unsettled))
 	}
 }
 
@@ -249,20 +215,17 @@ func TestNilLogNoops(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("nil close: %v", err)
 	}
-	acct := &mechanism.Accountant{}
-	if err := acct.SetBudget(mechanism.Guarantee{Epsilon: 1}); err != nil {
-		t.Fatal(err)
-	}
-	tx, err := l.Reserve(acct, mechanism.Guarantee{Epsilon: 0.5}, Intent{Endpoint: "fit"})
+	tx, err := l.Begin(Intent{Endpoint: "fit", Epsilon: 0.5})
 	if err != nil {
-		t.Fatalf("nil-log Reserve: %v", err)
+		t.Fatalf("nil-log Begin: %v", err)
 	}
-	if err := tx.Commit(mechanism.SpendMeta{Mechanism: "gibbs"}, Outcome{Status: 200}); err != nil {
+	if g := tx.Amount(); g != (mechanism.Guarantee{Epsilon: 0.5}) {
+		t.Fatalf("nil-log Amount=%+v, want the quoted ε=0.5", g)
+	}
+	if err := tx.Commit(mechanism.SpendMeta{}, Outcome{Status: 200}); err != nil {
 		t.Fatalf("nil-log Commit: %v", err)
 	}
-	if acct.Count() != 1 {
-		t.Fatalf("nil-log Txn must still charge the books: count=%d", acct.Count())
-	}
+	tx.Release()
 	var nilTx *Txn
 	nilTx.Release()
 	if err := nilTx.Commit(mechanism.SpendMeta{}, Outcome{}); err != nil {
