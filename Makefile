@@ -40,15 +40,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzzing pass over the log-domain primitives and the W3C
-# traceparent parser (one -fuzz target per invocation, as `go test`
-# requires). Override FUZZTIME for longer campaigns, e.g.
+# Short fuzzing pass over the log-domain primitives, the exact float64
+# accumulator, the W3C traceparent parser and the WAL's torn-tail
+# repair (one -fuzz target per invocation, as `go test` requires).
+# Override FUZZTIME for longer campaigns, e.g.
 # `make fuzz-smoke FUZZTIME=2m`.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/mathx -run '^$$' -fuzz '^FuzzLogAddExp$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mathx -run '^$$' -fuzz '^FuzzLogSumExp$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mathx -run '^$$' -fuzz '^FuzzLogNormalize$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mathx -run '^$$' -fuzz '^FuzzExactSum$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzTraceparent$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALRepair$$' -fuzztime $(FUZZTIME)
 

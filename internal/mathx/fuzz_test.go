@@ -163,3 +163,57 @@ func FuzzLogNormalize(f *testing.F) {
 		}
 	})
 }
+
+// FuzzExactSum checks ExactSum against the big.Float oracle on finite
+// terms, against the IEEE-754 rule on non-finite ones, and that the
+// rounded sum ignores term order and survives an Add/Sub round trip
+// bit for bit.
+func FuzzExactSum(f *testing.F) {
+	f.Add(0.1, 0.2, 0.3, 0.4)
+	f.Add(1.0, 0x1p-53, 0x1p-1074, -1.0)
+	f.Add(math.MaxFloat64, math.MaxFloat64, -math.MaxFloat64, 1e-300)
+	f.Add(math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1023, 0.0)
+	f.Add(math.Inf(1), 1.0, math.Inf(-1), 2.0)
+	f.Add(math.NaN(), 0.005, 0.2, 0.02)
+	f.Fuzz(func(t *testing.T, a, b, c, d float64) {
+		xs := []float64{a, b, c, d}
+		got := exactSumOf(xs)
+		var nan, pos, neg bool
+		for _, x := range xs {
+			nan = nan || math.IsNaN(x)
+			pos = pos || math.IsInf(x, 1)
+			neg = neg || math.IsInf(x, -1)
+		}
+		switch {
+		case nan || pos && neg:
+			if !math.IsNaN(got) {
+				t.Fatalf("ExactSum(%v) = %v, want NaN", xs, got)
+			}
+			return
+		case pos || neg:
+			if !math.IsInf(got, 1) && pos || !math.IsInf(got, -1) && neg {
+				t.Fatalf("ExactSum(%v) = %v, want the infinity", xs, got)
+			}
+			return
+		}
+		if want := refSum(xs); !sameBits(got, want) {
+			t.Fatalf("ExactSum(%v) = %v, big.Float = %v", xs, got, want)
+		}
+		for _, p := range [][]float64{{d, c, b, a}, {c, a, d, b}} {
+			if other := exactSumOf(p); !sameBits(other, got) {
+				t.Fatalf("ExactSum(%v) = %v but ExactSum(%v) = %v", p, other, xs, got)
+			}
+		}
+		var s ExactSum
+		s.Add(a)
+		s.Add(b)
+		before := s.Float64()
+		s.Add(c)
+		s.Add(d)
+		s.Sub(d)
+		s.Sub(c)
+		if after := s.Float64(); !sameBits(after, before) {
+			t.Fatalf("Add/Sub round trip of %v, %v moved %v to %v", c, d, before, after)
+		}
+	})
+}

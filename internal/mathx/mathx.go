@@ -1,7 +1,8 @@
 // Package mathx provides numerically-stable mathematical primitives used
-// throughout the library: log-domain arithmetic, compensated summation,
-// online moments, simple one-dimensional optimizers and root finders, and
-// a handful of special-function helpers built on the standard library.
+// throughout the library: log-domain arithmetic, compensated and exact
+// summation, online moments, simple one-dimensional optimizers and root
+// finders, and a handful of special-function helpers built on the
+// standard library.
 //
 // All probability computations in this repository are carried out in log
 // space; the helpers here (LogSumExp, LogAddExp, Log1mExp) are the

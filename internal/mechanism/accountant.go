@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"sync"
+
+	"repro/internal/mathx"
 )
 
 // SpendMeta carries the ledger metadata of one release: everything an
@@ -69,13 +71,21 @@ type Accountant struct {
 	spent    []SpendRecord
 	observer SpendObserver
 
+	// spentEps and spentDel are the exact running sums of every spent
+	// guarantee, so composing the history costs the same at any length.
+	spentEps, spentDel mathx.ExactSum
+
 	// Budget enforcement (see budget.go): when hasBudget is set, Reserve
-	// admits a release only if the canonical composition of spent,
-	// reserved, and the request stays within budget. reserved holds the
-	// outstanding (reserved-but-not-yet-committed) claims by identity.
-	budget    Guarantee
-	hasBudget bool
-	reserved  []*Reservation
+	// admits a release only if the composition of spent, reserved, and
+	// the request stays within budget. reserved holds the outstanding
+	// (reserved-but-not-yet-committed) claims by identity, heldEps and
+	// heldDel their exact sums, and usedEps and usedDel are scratch for
+	// spent plus held.
+	budget           Guarantee
+	hasBudget        bool
+	reserved         []*Reservation
+	heldEps, heldDel mathx.ExactSum
+	usedEps, usedDel mathx.ExactSum
 }
 
 // SetObserver installs the spend observer (nil to remove). On a nil
@@ -112,11 +122,14 @@ func (a *Accountant) SpendDetail(g Guarantee, meta SpendMeta) {
 
 // recordLocked commits one spend: the next sequence number, the history
 // (without the request's charge scope, so the scope dies with its
-// request), the scope, then the observer. Caller holds a.mu.
+// request) and its sums, the scope, then the observer. Caller holds
+// a.mu.
 func (a *Accountant) recordLocked(g Guarantee, meta SpendMeta) {
 	rec := SpendRecord{Seq: uint64(len(a.spent)), Guarantee: g, Meta: meta}
 	rec.Meta.Charge = nil
 	a.spent = append(a.spent, rec)
+	a.spentEps.Add(g.Epsilon)
+	a.spentDel.Add(g.Delta)
 	meta.Charge.add(rec)
 	if a.observer != nil {
 		a.observer(rec)
@@ -143,34 +156,25 @@ func (a *Accountant) Records() []SpendRecord {
 	return append([]SpendRecord(nil), a.spent...)
 }
 
-// guarantees returns the spent guarantees (caller holds no lock).
-func (a *Accountant) guarantees() []Guarantee {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]Guarantee, len(a.spent))
-	for i, r := range a.spent {
-		out[i] = r.Guarantee
-	}
-	return out
-}
-
 // BasicComposition returns the sequential-composition guarantee:
 // ε_total = Σ εᵢ, δ_total = Σ δᵢ.
 //
-// The sum runs in a canonical order — guarantees sorted ascending by
-// (ε, δ) — with Kahan compensation, so the composed guarantee is a pure
-// function of the *multiset* of spends. Floating-point addition is not
-// associative; without the canonical order, workers interleaving their
-// spends differently across runs (or across Workers settings of the
-// parallel engine) could change the composed ε's low bits, and the
-// runtime privacy ledger could never be golden-tested. The obs ledger's
-// ComposeBasic implements the identical algorithm, so ledger and
-// accountant agree bit-for-bit.
+// Each sum is exact and rounded once, to nearest-even (mathx.ExactSum),
+// so the composed guarantee is a pure function of the *multiset* of
+// spends. Floating-point addition is not associative; a running float
+// sum would let workers interleaving their spends differently across
+// runs (or across Workers settings of the parallel engine) change the
+// composed ε's low bits, and the runtime privacy ledger could never be
+// golden-tested. The obs ledger's ComposeBasic rounds the same exact
+// sum, so ledger and accountant agree bit-for-bit. The sums are kept
+// as spends arrive, so the call costs the same at any history length.
 func (a *Accountant) BasicComposition() Guarantee {
 	if a == nil {
 		return Guarantee{}
 	}
-	return composeCanonical(a.guarantees())
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return Guarantee{Epsilon: a.spentEps.Float64(), Delta: a.spentDel.Float64()}
 }
 
 // AdvancedComposition returns the Dwork–Rothblum–Vadhan advanced
@@ -242,4 +246,6 @@ func (a *Accountant) Reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.spent = a.spent[:0]
+	a.spentEps.Reset()
+	a.spentDel.Reset()
 }

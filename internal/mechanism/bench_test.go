@@ -3,6 +3,8 @@ package mechanism
 // Micro-benchmarks for the mechanism hot paths.
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -107,5 +109,46 @@ func BenchmarkAccountantAdvanced(b *testing.B) {
 		if _, err := a.AdvancedComposition(1e-6); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// historyPrices are the six standard quotes a long-lived tenant's
+// history is built from (the serve benchmark's long-history prefill).
+var historyPrices = []float64{0.005, 0.01, 0.02, 0.05, 0.1, 0.2}
+
+// accountantWithHistory returns an accountant with n recorded spends
+// cycling through historyPrices and a budget far above their sum.
+func accountantWithHistory(tb testing.TB, n int) *Accountant {
+	tb.Helper()
+	a := &Accountant{}
+	if err := a.SetBudget(Guarantee{Epsilon: 1e9}); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		a.Spend(Guarantee{Epsilon: historyPrices[i%len(historyPrices)]})
+	}
+	return a
+}
+
+// BenchmarkReserve measures one admission (Reserve then Release at
+// ε=0.02) against a history of 10² to 10⁶ spends. Admission composes
+// running sums, so the cost should not grow with the history.
+func BenchmarkReserve(b *testing.B) {
+	for _, exp := range []int{2, 4, 5, 6} {
+		var a *Accountant // built once per size, reused across b.N rounds
+		b.Run(fmt.Sprintf("history=1e%d", exp), func(b *testing.B) {
+			if a == nil {
+				a = accountantWithHistory(b, int(math.Pow10(exp)))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := a.Reserve(Guarantee{Epsilon: 0.02})
+				if err != nil {
+					b.Fatal(err)
+				}
+				res.Release()
+			}
+		})
 	}
 }

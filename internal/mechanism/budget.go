@@ -4,10 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
-
-	"repro/internal/mathx"
 )
 
 // ErrBudgetExhausted reports that admitting a release would push the
@@ -15,28 +12,6 @@ import (
 // pipeline checks it with errors.Is and applies the caller's
 // DegradePolicy (refuse, fall back, or widen) instead of spending.
 var ErrBudgetExhausted = errors.New("mechanism: privacy budget exhausted")
-
-// composeCanonical returns the basic sequential composition of a
-// multiset of guarantees — ε_total = Σ εᵢ, δ_total = Σ δᵢ — summed in
-// the canonical order (ascending by ε, then δ) with Kahan compensation.
-// The result is a pure function of the multiset, never of arrival
-// order, which is what lets the budget admission decision and the
-// ledger cross-check stay bit-identical across worker interleavings.
-// The slice is sorted in place; callers pass a private copy.
-func composeCanonical(gs []Guarantee) Guarantee {
-	sort.Slice(gs, func(i, j int) bool {
-		if gs[i].Epsilon != gs[j].Epsilon { //dplint:ignore floateq canonical-order comparison: exact value ordering is the point
-			return gs[i].Epsilon < gs[j].Epsilon
-		}
-		return gs[i].Delta < gs[j].Delta
-	})
-	var eps, del mathx.KahanSum
-	for _, g := range gs {
-		eps.Add(g.Epsilon)
-		del.Add(g.Delta)
-	}
-	return Guarantee{Epsilon: eps.Sum(), Delta: del.Sum()}
-}
 
 // SetBudget installs a hard cap on the accountant's basic composition:
 // every subsequent Reserve is admitted only if the composed guarantee
@@ -49,7 +24,7 @@ func (a *Accountant) SetBudget(g Guarantee) error {
 	if a == nil {
 		return nil
 	}
-	if math.IsNaN(g.Epsilon) || math.IsInf(g.Epsilon, 0) || g.Epsilon < 0 {
+	if !finiteNonNegative(g.Epsilon) {
 		return fmt.Errorf("mechanism: budget ε must be finite and non-negative, got %v", g.Epsilon)
 	}
 	if math.IsNaN(g.Delta) || g.Delta < 0 || g.Delta >= 1 {
@@ -83,20 +58,22 @@ func (a *Accountant) Budget() (Guarantee, bool) {
 	return a.budget, a.hasBudget
 }
 
-// obligations returns the guarantees of every spend and every held
-// reservation. Caller must hold a.mu.
-func (a *Accountant) obligationsLocked() []Guarantee {
-	gs := make([]Guarantee, 0, len(a.spent)+len(a.reserved))
-	for _, r := range a.spent {
-		gs = append(gs, r.Guarantee)
-	}
-	for _, res := range a.reserved {
-		gs = append(gs, res.g)
-	}
-	return gs
+// finiteNonNegative reports whether x is a finite value ≥ 0 (false for
+// NaN).
+func finiteNonNegative(x float64) bool {
+	return x >= 0 && !math.IsInf(x, 1)
 }
 
-// Remaining returns the budget headroom: the budget minus the canonical
+// usedLocked returns the composition of every spend and every held
+// reservation: each component summed exactly and rounded once. Caller
+// holds a.mu.
+func (a *Accountant) usedLocked() Guarantee {
+	a.usedEps.SetSum(&a.spentEps, &a.heldEps)
+	a.usedDel.SetSum(&a.spentDel, &a.heldDel)
+	return Guarantee{Epsilon: a.usedEps.Float64(), Delta: a.usedDel.Float64()}
+}
+
+// Remaining returns the budget headroom: the budget minus the
 // composition of all spends and held reservations, clamped at zero
 // component-wise. The second result is false when no budget is set.
 func (a *Accountant) Remaining() (Guarantee, bool) {
@@ -108,7 +85,7 @@ func (a *Accountant) Remaining() (Guarantee, bool) {
 	if !a.hasBudget {
 		return Guarantee{}, false
 	}
-	used := composeCanonical(a.obligationsLocked())
+	used := a.usedLocked()
 	rem := Guarantee{Epsilon: a.budget.Epsilon - used.Epsilon, Delta: a.budget.Delta - used.Delta}
 	if rem.Epsilon < 0 {
 		rem.Epsilon = 0
@@ -153,24 +130,33 @@ const (
 // hold on it. If composing the request with every spend and every held
 // reservation would exceed the budget in ε or δ, it returns an error
 // wrapping ErrBudgetExhausted and holds nothing. With no budget set,
-// Reserve always admits. On a nil accountant it returns (nil, nil):
-// the nil Reservation's Commit and Release are no-ops, matching the
+// Reserve always admits. A guarantee with a NaN, infinite or negative
+// component is refused with an error of its own: no budget could admit
+// it. On a nil accountant Reserve returns (nil, nil): the nil
+// Reservation's Commit and Release are no-ops, matching the
 // nil-accountant contract of Spend.
 //
-// Admission is decided on the canonical composition of the obligation
-// multiset, so the verdict for a given set of outstanding holds is
-// deterministic — independent of the order concurrent reservations
-// interleaved in.
+// Admission is decided on the exact composition of the obligation
+// multiset, rounded once, so the verdict for a given set of outstanding
+// holds is deterministic — independent of the order concurrent
+// reservations interleaved in — and costs the same at any history
+// length. It admits only when the composition is within the budget in
+// both components, so a NaN composition refuses.
 func (a *Accountant) Reserve(g Guarantee) (*Reservation, error) {
 	if a == nil {
 		return nil, nil
 	}
+	if !finiteNonNegative(g.Epsilon) || !finiteNonNegative(g.Delta) {
+		return nil, fmt.Errorf("mechanism: cannot reserve (ε=%v, δ=%v): both must be finite and non-negative", g.Epsilon, g.Delta)
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.heldEps.Add(g.Epsilon)
+	a.heldDel.Add(g.Delta)
 	if a.hasBudget {
-		prospective := append(a.obligationsLocked(), g)
-		used := composeCanonical(prospective)
-		if used.Epsilon > a.budget.Epsilon || used.Delta > a.budget.Delta {
+		if used := a.usedLocked(); !(used.Epsilon <= a.budget.Epsilon && used.Delta <= a.budget.Delta) {
+			a.heldEps.Sub(g.Epsilon)
+			a.heldDel.Sub(g.Delta)
 			return nil, fmt.Errorf("mechanism: reserving (ε=%g, δ=%g) would compose to (ε=%g, δ=%g), over budget (ε=%g, δ=%g): %w",
 				g.Epsilon, g.Delta, used.Epsilon, used.Delta, a.budget.Epsilon, a.budget.Delta, ErrBudgetExhausted)
 		}
@@ -235,12 +221,15 @@ func (r *Reservation) Release() {
 	r.a.dropReservationLocked(r)
 }
 
-// dropReservationLocked removes one reservation by identity. Caller
-// holds a.mu.
+// dropReservationLocked removes one reservation by identity and
+// subtracts its guarantee from the held sums, exactly. Caller holds
+// a.mu.
 func (a *Accountant) dropReservationLocked(r *Reservation) {
 	for i, held := range a.reserved {
 		if held == r {
 			a.reserved = append(a.reserved[:i], a.reserved[i+1:]...)
+			a.heldEps.Sub(r.g.Epsilon)
+			a.heldDel.Sub(r.g.Delta)
 			return
 		}
 	}

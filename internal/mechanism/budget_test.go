@@ -3,6 +3,7 @@ package mechanism
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -345,5 +346,145 @@ func TestConcurrentReserveCommitRelease(t *testing.T) {
 		if !seqs[uint64(i)] {
 			t.Fatalf("sequence gap at %d", i)
 		}
+	}
+}
+
+// TestReserveRefusesInvalidGuarantee pins that admission fails closed
+// on a guarantee no budget could admit: a NaN, infinite or negative
+// component is refused (with an error that is not ErrBudgetExhausted)
+// and leaves the books as they were, so later requests are judged
+// against the true headroom.
+func TestReserveRefusesInvalidGuarantee(t *testing.T) {
+	for _, g := range []Guarantee{
+		{Epsilon: math.Inf(1)},
+		{Epsilon: math.NaN()},
+		{Epsilon: -5},
+		{Epsilon: 0.1, Delta: math.NaN()},
+		{Epsilon: 0.1, Delta: math.Inf(1)},
+		{Epsilon: 0.1, Delta: -1e-9},
+	} {
+		var a Accountant
+		if err := a.SetBudget(Guarantee{Epsilon: 1}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Reserve(g)
+		if err == nil || res != nil {
+			t.Fatalf("Reserve(%+v) admitted", g)
+		}
+		if errors.Is(err, ErrBudgetExhausted) {
+			t.Fatalf("Reserve(%+v): an invalid guarantee is not an exhausted budget: %v", g, err)
+		}
+		if a.Reserved() != 0 {
+			t.Fatalf("Reserve(%+v) left a hold", g)
+		}
+		if _, err := a.Reserve(Guarantee{Epsilon: 0.9}); err != nil {
+			t.Fatalf("after Reserve(%+v): first 0.9 refused: %v", g, err)
+		}
+		if _, err := a.Reserve(Guarantee{Epsilon: 0.9}); !errors.Is(err, ErrBudgetExhausted) {
+			t.Fatalf("after Reserve(%+v): second 0.9 over a budget of 1 got %v", g, err)
+		}
+	}
+	var unbudgeted Accountant
+	if _, err := unbudgeted.Reserve(Guarantee{Epsilon: math.Inf(1)}); err == nil {
+		t.Fatal("an accountant without a budget admitted ε=+Inf")
+	}
+}
+
+// TestNaNHistoryRefusesAdmission pins the NaN-safe comparison: a NaN
+// that reaches the history through SpendDetail makes the composition
+// NaN, and admission then refuses rather than admits.
+func TestNaNHistoryRefusesAdmission(t *testing.T) {
+	var a Accountant
+	if err := a.SetBudget(Guarantee{Epsilon: 1}); err != nil {
+		t.Fatal(err)
+	}
+	a.SpendDetail(Guarantee{Epsilon: math.NaN()}, SpendMeta{})
+	if _, err := a.Reserve(Guarantee{Epsilon: 0.1}); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("Reserve over a NaN history = %v, want ErrBudgetExhausted", err)
+	}
+}
+
+// TestReserveReleaseRestoresRemainingBits pins that a Reserve/Release
+// round trip subtracts exactly what it added: the headroom afterwards
+// is bit-identical, whatever low bits the history carries.
+func TestReserveReleaseRestoresRemainingBits(t *testing.T) {
+	var a Accountant
+	if err := a.SetBudget(Guarantee{Epsilon: 10, Delta: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	g := rng.New(21)
+	for i := 0; i < 50; i++ {
+		a.Spend(Guarantee{Epsilon: 0.1 * g.Float64(), Delta: 1e-7 * g.Float64()})
+	}
+	before, _ := a.Remaining()
+	for i := 0; i < 50; i++ {
+		res, err := a.Reserve(Guarantee{Epsilon: 0.3 * g.Float64(), Delta: 1e-6 * g.Float64()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+		after, _ := a.Remaining()
+		if math.Float64bits(after.Epsilon) != math.Float64bits(before.Epsilon) ||
+			math.Float64bits(after.Delta) != math.Float64bits(before.Delta) {
+			t.Fatalf("round trip %d moved Remaining from %+v to %+v", i, before, after)
+		}
+	}
+}
+
+// TestResetThenReleaseRestoresBudget pins that Reset clears the spends
+// but not an outstanding hold, and that the hold's later Release
+// returns the headroom to the full budget.
+func TestResetThenReleaseRestoresBudget(t *testing.T) {
+	var a Accountant
+	budget := Guarantee{Epsilon: 1, Delta: 1e-6}
+	if err := a.SetBudget(budget); err != nil {
+		t.Fatal(err)
+	}
+	a.Spend(Guarantee{Epsilon: 0.3})
+	res, err := a.Reserve(Guarantee{Epsilon: 0.4, Delta: 1e-7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Reset()
+	if rem, _ := a.Remaining(); rem.Epsilon != 0.6 || rem.Delta != budget.Delta-1e-7 {
+		t.Fatalf("after Reset with a hold out: Remaining = %+v", rem)
+	}
+	res.Release()
+	if rem, _ := a.Remaining(); rem != budget {
+		t.Fatalf("after Reset and Release: Remaining = %+v, want the full budget %+v", rem, budget)
+	}
+	if got := a.BasicComposition(); got != (Guarantee{}) {
+		t.Fatalf("after Reset: BasicComposition = %+v", got)
+	}
+}
+
+// TestReserveCostIndependentOfHistory pins that admission does not
+// grow with the history: the bytes a Reserve+Release allocates with
+// 10⁵ recorded spends are no more than with 10², up to a small slack.
+// Allocation is measured, not time, so the test is immune to host load.
+func TestReserveCostIndependentOfHistory(t *testing.T) {
+	const calls = 1000
+	bytesPerOp := func(history int) uint64 {
+		a := accountantWithHistory(t, history)
+		reserve := func() {
+			res, err := a.Reserve(Guarantee{Epsilon: 0.02})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Release()
+		}
+		reserve() // warm the accountant's scratch storage
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			reserve()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	const slack = 256
+	small, large := bytesPerOp(100), bytesPerOp(100_000)
+	if large > small+slack {
+		t.Fatalf("Reserve+Release allocates %d B/op at 10⁵ spends but %d B/op at 10²", large, small)
 	}
 }

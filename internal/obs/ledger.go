@@ -5,16 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
+
+	"repro/internal/mathx"
 )
 
 // LedgerRecord is one line of the privacy ledger: the runtime account of
 // a single differentially-private release. It is the dynamic mirror of a
 // mechanism.SpendRecord — the ledger stays decoupled from the mechanism
-// package so that obs remains a pure-stdlib leaf; the accountant's
-// observer hook copies the fields across.
+// package so that obs depends only on the standard library and mathx;
+// the accountant's observer hook copies the fields across.
 type LedgerRecord struct {
 	// Seq is the accountant's monotonic sequence number: the arrival
 	// order of the spend under the accountant's lock.
@@ -101,58 +102,39 @@ func (l *Ledger) Records() []LedgerRecord {
 }
 
 // Composed returns the basic sequential composition (Σεᵢ, Σδᵢ) of the
-// ledger via ComposeBasic, which sums in a canonical value order so the
-// result is bit-identical to mechanism.Accountant.BasicComposition on
-// the same multiset of guarantees, for every arrival order and worker
-// count.
+// ledger, each component summed exactly and rounded once by
+// mathx.ExactSum — the accumulator mechanism.Accountant keeps — so the
+// two agree bit-for-bit on the same multiset of guarantees, for every
+// arrival order and worker count.
 func (l *Ledger) Composed() (epsilon, delta float64) {
-	recs := l.Records()
-	eps := make([]float64, len(recs))
-	del := make([]float64, len(recs))
-	for i, r := range recs {
-		eps[i], del[i] = r.Epsilon, r.Delta
+	if l == nil {
+		return 0, 0
 	}
-	return ComposeBasic(eps, del)
+	var eps, del mathx.ExactSum
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, r := range l.recs {
+		eps.Add(r.Epsilon)
+		del.Add(r.Delta)
+	}
+	return eps.Float64(), del.Float64()
 }
 
-// ComposeBasic is the canonical basic-composition sum shared (by exact
-// algorithm, not by import) with mechanism.Accountant.BasicComposition:
-// the (ε, δ) pairs are sorted ascending by ε then δ, and each component
-// is summed with Neumaier-compensated (Kahan) addition. The canonical
-// order makes the composed guarantee a pure function of the *multiset*
-// of spends — reproducible when concurrent workers interleave their
-// spends differently across runs or worker counts.
+// ComposeBasic is the basic-composition sum (Σεᵢ, Σδᵢ) of a list of
+// spends, computed by the accumulator mechanism.Accountant keeps:
+// each component is summed exactly and rounded once, to nearest-even,
+// so the composed guarantee is a pure function of the *multiset* of
+// spends — reproducible when concurrent workers interleave their spends
+// differently across runs or worker counts.
 func ComposeBasic(eps, del []float64) (epsilon, delta float64) {
-	idx := make([]int, len(eps))
-	for i := range idx {
-		idx[i] = i
+	var se, sd mathx.ExactSum
+	for _, x := range eps {
+		se.Add(x)
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if eps[ia] != eps[ib] { //dplint:ignore floateq canonical-order tie test: exact value comparison is the point
-			return eps[ia] < eps[ib]
-		}
-		return del[ia] < del[ib]
-	})
-	var se, ce, sd, cd float64
-	for _, i := range idx {
-		se, ce = kahanAdd(se, ce, eps[i])
-		sd, cd = kahanAdd(sd, cd, del[i])
+	for _, x := range del {
+		sd.Add(x)
 	}
-	return se + ce, sd + cd
-}
-
-// kahanAdd is one Neumaier-compensated accumulation step, mirroring
-// mathx.KahanSum.Add exactly (same branch, same operation order) so the
-// ledger's sums reproduce the accountant's bit-for-bit.
-func kahanAdd(sum, c, x float64) (newSum, newC float64) {
-	t := sum + x
-	if math.Abs(sum) >= math.Abs(x) {
-		c += (sum - t) + x
-	} else {
-		c += (x - t) + sum
-	}
-	return t, c
+	return se.Float64(), sd.Float64()
 }
 
 // WriteNDJSON writes the ledger (in sequence order) as NDJSON "ledger"

@@ -134,9 +134,9 @@ func TestReadLedgerRejectsCorruptLines(t *testing.T) {
 	}
 }
 
-// TestComposeBasicOrderInvariance checks the canonical-order property
-// the whole ledger design rests on: any permutation of the spend
-// multiset composes to the same bits.
+// TestComposeBasicOrderInvariance checks the property the whole ledger
+// design rests on: any permutation of the spend multiset composes to
+// the same bits.
 func TestComposeBasicOrderInvariance(t *testing.T) {
 	eps := []float64{0.3, 1e-9, 0.7, 0.1, 0.3, 2.5e-17, 0.9}
 	del := []float64{0, 1e-12, 1e-6, 0, 1e-12, 0, 0}

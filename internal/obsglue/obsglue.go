@@ -1,10 +1,10 @@
-// Package obsglue wires the stdlib-only observability subsystem
-// (internal/obs) into the command-line binaries: the shared -trace /
-// -metrics-addr / -pprof flag surface, the trace-file lifecycle, the
-// accountant→ledger bridge, and the post-run trace summary. It exists so
-// that internal/obs stays a pure-stdlib leaf with no dependency on the
-// mechanism package — the two meet only here, at the edge of the
-// process.
+// Package obsglue wires the observability subsystem (internal/obs,
+// which depends only on the standard library and internal/mathx) into
+// the command-line binaries: the shared -trace / -metrics-addr / -pprof
+// flag surface, the trace-file lifecycle, the accountant→ledger bridge,
+// and the post-run trace summary. It exists so that internal/obs has no
+// dependency on the mechanism package — the two meet only here, at the
+// edge of the process.
 package obsglue
 
 import (
@@ -140,10 +140,10 @@ func (rt *Runtime) Sink() mechanism.SpendObserver {
 }
 
 // CrossCheck verifies the ledger against the accountant it observed:
-// the record counts must match and the canonical composed (ε, δ) must
-// agree bit-for-bit (both sides sort the spend multiset into the same
-// canonical order and Kahan-sum it). A mismatch means a release escaped
-// the ledger — the dynamic analogue of an acctlint finding.
+// the record counts must match and the composed (ε, δ) must agree
+// bit-for-bit (both sides round the exact sum of the spend multiset
+// with mathx.ExactSum). A mismatch means a release escaped the ledger —
+// the dynamic analogue of an acctlint finding.
 func (rt *Runtime) CrossCheck(acct *mechanism.Accountant) error {
 	if got, want := rt.Ledger.Len(), acct.Count(); got != want {
 		return fmt.Errorf("obsglue: ledger has %d record(s), accountant spent %d", got, want)

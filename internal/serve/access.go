@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 
+	"repro/internal/mathx"
 	"repro/internal/mechanism"
 )
 
@@ -64,15 +65,18 @@ func (ai *accessInfo) setIdemKey(k string) {
 }
 
 // settle reads the request's charge scope once the response is written:
-// spent is the commit-order sum of the ε the accountant charged, and the
+// spent is the composition of the ε the accountant charged, summed by
+// the accumulator the accountant and obs.ComposeBasic use, and the
 // outcome is the handler's replayed/degraded if it set one, otherwise
 // committed exactly when the scope holds a charge, otherwise refused
 // (429/503), free (2xx) or error by status.
 func (ai *accessInfo) settle(status int) (spent float64, outcome string) {
 	recs := ai.charges.Records()
+	var sum mathx.ExactSum
 	for _, r := range recs {
-		spent += r.Guarantee.Epsilon
+		sum.Add(r.Guarantee.Epsilon)
 	}
+	spent = sum.Float64()
 	switch {
 	case ai.outcome != "":
 		return spent, ai.outcome

@@ -62,10 +62,10 @@ func (t *Tenant) Budget() mechanism.Guarantee {
 }
 
 // CrossCheck verifies the tenant's ledger against its accountant: the
-// record counts must match and the canonically composed (ε, δ) must
-// agree bit-for-bit (both sides sort the spend multiset into the same
-// canonical order and Kahan-sum it). A mismatch means a release
-// escaped the books — the service must never pass its audit with one.
+// record counts must match and the composed (ε, δ) must agree
+// bit-for-bit (both sides round the exact sum of the spend multiset
+// with mathx.ExactSum). A mismatch means a release escaped the books —
+// the service must never pass its audit with one.
 func (t *Tenant) CrossCheck() error {
 	if got, want := t.Ledger.Len(), t.Acct.Count(); got != want {
 		return fmt.Errorf("serve: tenant %s ledger has %d record(s), accountant spent %d", t.ID, got, want)
@@ -80,15 +80,16 @@ func (t *Tenant) CrossCheck() error {
 	return nil
 }
 
-// refreshSpent recomputes the tenant's spend gauge from the canonical
+// refreshSpent sets the tenant's spend gauge to the accountant's
 // composition — a pure function of the spend multiset, so the exposed
 // value is deterministic for a given request history at any worker
-// count. Called after every commit and once more at drain. It also
-// refreshes the budget burn-rate gauge: composed ε per logical tick
-// since boot. Ticks — not wall time — keep the gauge a pure function of
-// the request history (the clock read itself is part of that history,
-// identically placed in every run), so /metrics stays goldenable; the
-// wall-clock burn estimate lives only in the 429 Retry-After header.
+// count, read in constant time at any history length. Called after
+// every commit and once more at drain. It also refreshes the budget
+// burn-rate gauge: composed ε per logical tick since boot. Ticks — not
+// wall time — keep the gauge a pure function of the request history
+// (the clock read itself is part of that history, identically placed
+// in every run), so /metrics stays goldenable; the wall-clock burn
+// estimate lives only in the 429 Retry-After header.
 func (t *Tenant) refreshSpent() {
 	g := t.Acct.BasicComposition()
 	t.spent.Set(g.Epsilon)

@@ -20,10 +20,10 @@
 // Recovery (Replay) therefore settles every in-flight request safely:
 // commit present → charge the exact logged guarantees; reserve without
 // commit → void. Replaying the commit charges through SpendDetail
-// rebuilds an Accountant bit-identically: both sides canonically
-// compose the same guarantee multiset (sorted, Kahan-summed), so the
-// recovered composition equals obs.ComposeBasic of the WAL's commit
-// records bit for bit.
+// rebuilds an Accountant bit-identically: both sides round the exact
+// sum of the same guarantee multiset with one routine (mathx.ExactSum),
+// so the recovered composition equals obs.ComposeBasic of the WAL's
+// commit records bit for bit.
 //
 // Commit records double as the durable idempotency store: a commit
 // carrying a client Idempotency-Key pins the response fingerprint and
@@ -394,8 +394,8 @@ type State struct {
 }
 
 // Charges returns every committed guarantee in LSN order — the multiset
-// whose canonical composition (obs.ComposeBasic) the recovered
-// accountant must reproduce bit for bit.
+// whose composition (obs.ComposeBasic) the recovered accountant must
+// reproduce bit for bit.
 func (st *State) Charges() []Charge {
 	var out []Charge
 	for _, c := range st.Commits {
