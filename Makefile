@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json certify race cover bench bench-json bench-serve servebench-check serve-test experiments quick-experiments fmt fmt-check fuzz-smoke chaos chaos-restart
+.PHONY: all build test vet lint lint-json certify race cover bench bench-json bench-serve servebench-check serve-test experiments experiments-check quick-experiments fmt fmt-check fuzz-smoke chaos chaos-restart
 
 all: build vet lint test
 
@@ -133,6 +133,12 @@ bench-json:
 # Regenerate every reproduction table at full size (EXPERIMENTS.md data).
 experiments:
 	$(GO) run ./cmd/dplearn-experiments -seed 42 -parallel 4
+
+# Pin the reproduction tables (E1–E12, A1–A11): rerun the full suite at
+# the committed seed and fail on any byte of drift from the committed
+# run, so a change that moves a table lands with the regenerated file.
+experiments-check:
+	$(GO) run ./cmd/dplearn-experiments -seed 42 -parallel 4 | diff -u results/full_run_seed42.txt -
 
 quick-experiments:
 	$(GO) run ./cmd/dplearn-experiments -seed 42 -quick -parallel 4

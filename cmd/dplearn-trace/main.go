@@ -1,6 +1,6 @@
 // Command dplearn-trace reconstructs per-request stories from the NDJSON
 // observability artifacts the serve layer emits: the trace stream
-// (-trace on dplearn-serve: spans, events, trace-stamped ledger lines)
+// (-trace on dplearn-serve: spans and trace-stamped ledger lines)
 // and the access log (-access-log: one line per /v1 request). Point it
 // at one or more files and it joins them on the 128-bit W3C trace id:
 //

@@ -33,6 +33,7 @@ import (
 	dplearn "repro"
 	"repro/internal/dataset"
 	"repro/internal/learn"
+	"repro/internal/mechanism"
 	"repro/internal/obsglue"
 	"repro/internal/parallel"
 )
@@ -106,7 +107,7 @@ func main() {
 	defer stop()
 
 	var acct dplearn.Accountant
-	acct.SetObserver(rt.Sink())
+	acct.SetObserver(func(r mechanism.SpendRecord) { obsglue.RecordSpend(rt.Ledger, r) })
 	if *budget > 0 {
 		if err := acct.SetBudget(dplearn.Guarantee{Epsilon: *budget}); err != nil {
 			fatal(rt, err)
@@ -158,7 +159,7 @@ func main() {
 		fmt.Printf("risk certificate (Theorem 3.1): true risk <= %.4f w.p. %.0f%%\n", c.RiskBound, 100*(1-c.Delta))
 		fmt.Printf("posterior stats: E[emp risk]=%.4f, KL=%.4f nats\n", c.ExpEmpRisk, c.KL)
 	}
-	if err := rt.CrossCheck(&acct); err != nil {
+	if err := obsglue.CrossCheck(rt.Ledger, &acct); err != nil {
 		fatal(rt, err)
 	}
 	if *budget > 0 {

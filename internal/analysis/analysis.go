@@ -58,7 +58,7 @@ type Diagnostic struct {
 	Message  string         `json:"message"`
 
 	// Suppressed marks findings silenced by a //dplint:ignore directive;
-	// Run drops them, RunAll keeps them flagged (so tooling such as the
+	// RunCtx drops them, RunAllCtx keeps them flagged (so tooling such as the
 	// -json driver mode can audit what was waived and why).
 	Suppressed bool `json:"suppressed"`
 	// SuppressReason is the directive's mandatory reason when Suppressed.
@@ -164,16 +164,11 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// Run applies the given analyzers to the given packages, filters the
+// RunCtx applies the given analyzers to the given packages, filters the
 // findings through //dplint:ignore directives, and returns the surviving
 // diagnostics sorted by position. Malformed or reason-less directives are
-// reported under the meta check id "dplint".
-func Run(pkgs []*Package, checks []*Analyzer) []Diagnostic {
-	out, _ := RunCtx(context.Background(), pkgs, checks)
-	return out
-}
-
-// RunCtx is Run with cancellation (see RunAllCtx for the contract).
+// reported under the meta check id "dplint". Cancellation follows
+// RunAllCtx.
 func RunCtx(ctx context.Context, pkgs []*Package, checks []*Analyzer) ([]Diagnostic, error) {
 	all, err := RunAllCtx(ctx, pkgs, checks)
 	if err != nil {
@@ -188,20 +183,14 @@ func RunCtx(ctx context.Context, pkgs []*Package, checks []*Analyzer) ([]Diagnos
 	return out, nil
 }
 
-// RunAll is Run without the suppression filter: findings silenced by a
-// //dplint:ignore directive are returned with Suppressed set and the
-// directive's reason attached, instead of being dropped.
-func RunAll(pkgs []*Package, checks []*Analyzer) []Diagnostic {
-	diags, _ := RunAllCtx(context.Background(), pkgs, checks)
-	return diags
-}
-
-// RunAllCtx is RunAll with cancellation: ctx is checked once per
-// (package, analyzer) pair, so a ^C'd or timed-out lint run stops
-// between passes instead of mid-walk. On cancellation the diagnostics
-// gathered so far are discarded (a partial report would read as a
-// clean bill for the unvisited packages) and the wrapped ctx error is
-// returned. A run that completes is identical to RunAll.
+// RunAllCtx is RunCtx without the suppression filter: findings silenced
+// by a //dplint:ignore directive are returned with Suppressed set and the
+// directive's reason attached, instead of being dropped. ctx is checked
+// once per (package, analyzer) pair, so a ^C'd or timed-out lint run
+// stops between passes instead of mid-walk. On cancellation the
+// diagnostics gathered so far are discarded (a partial report would read
+// as a clean bill for the unvisited packages) and the wrapped ctx error
+// is returned.
 func RunAllCtx(ctx context.Context, pkgs []*Package, checks []*Analyzer) ([]Diagnostic, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -78,7 +78,7 @@ func golden(t *testing.T, check string) {
 	if len(pkgs) == 0 {
 		t.Fatal("fixture tree loaded no packages")
 	}
-	diags := Run(pkgs, []*Analyzer{a})
+	diags := run(pkgs, []*Analyzer{a})
 	wants := collectWants(t, pkgs)
 
 	matched := make([]bool, len(wants))
@@ -199,7 +199,7 @@ func Eq(a, b float64) bool {
 }
 `,
 	})
-	diags := Run(loadFixtureModule(t, dir), []*Analyzer{FloatEq})
+	diags := run(loadFixtureModule(t, dir), []*Analyzer{FloatEq})
 	if len(diags) != 0 {
 		t.Fatalf("suppressed findings leaked: %v", diags)
 	}
@@ -215,7 +215,7 @@ func Eq(a, b float64) bool {
 }
 `,
 	})
-	diags := Run(loadFixtureModule(t, dir), []*Analyzer{FloatEq})
+	diags := run(loadFixtureModule(t, dir), []*Analyzer{FloatEq})
 	if len(diags) != 1 || diags[0].Check != "floateq" {
 		t.Fatalf("want 1 floateq finding, got %v", diags)
 	}
@@ -232,7 +232,7 @@ func Eq(a, b float64) bool {
 }
 `,
 	})
-	diags := Run(loadFixtureModule(t, dir), []*Analyzer{FloatEq})
+	diags := run(loadFixtureModule(t, dir), []*Analyzer{FloatEq})
 	if len(diags) != 2 {
 		t.Fatalf("want malformed-directive + floateq findings, got %v", diags)
 	}
@@ -261,7 +261,7 @@ func Neq(a, b float64) bool {
 }
 `,
 	})
-	diags := Run(loadFixtureModule(t, dir), []*Analyzer{FloatEq})
+	diags := run(loadFixtureModule(t, dir), []*Analyzer{FloatEq})
 	if len(diags) != 0 {
 		t.Fatalf("comma-list/wildcard suppression failed: %v", diags)
 	}
@@ -319,7 +319,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	if len(pkgs) < 15 {
 		t.Fatalf("loaded only %d packages from the module; loader is missing code", len(pkgs))
 	}
-	diags := Run(pkgs, Analyzers())
+	diags := run(pkgs, Analyzers())
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
@@ -331,7 +331,7 @@ func TestRepoIsLintClean(t *testing.T) {
 // TestRunCtxCancellation pins the driver's interruption contract: a
 // canceled context aborts between passes with a wrapped ctx error and no
 // partial diagnostics (a truncated list would read as lint-clean for
-// the unvisited packages), while an open context matches Run exactly.
+// the unvisited packages), while an open context matches RunAllCtx.
 func TestRunCtxCancellation(t *testing.T) {
 	dir := writeFixtureModule(t, map[string]string{
 		"p.go": `package p
@@ -359,8 +359,17 @@ func Eq(a, b float64) bool { return a == b }
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Run(pkgs, []*Analyzer{FloatEq})
-	if len(got) != 1 || len(want) != 1 || got[0].String() != want[0].String() {
-		t.Fatalf("completed RunCtx diverged from Run: got %v, want %v", got, want)
+	all, err := RunAllCtx(context.Background(), pkgs, []*Analyzer{FloatEq})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(got) != 1 || len(all) != 1 || got[0].String() != all[0].String() {
+		t.Fatalf("completed RunCtx diverged from RunAllCtx: got %v, want %v", got, all)
+	}
+}
+
+// run is RunCtx under a background context, for tests that never cancel.
+func run(pkgs []*Package, checks []*Analyzer) []Diagnostic {
+	diags, _ := RunCtx(context.Background(), pkgs, checks)
+	return diags
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -113,8 +114,8 @@ func keys(m map[string]bool) []string {
 	return out
 }
 
-// TestRunAllMarksSuppressed pins the NDJSON contract: RunAll keeps
-// suppressed findings, flagged with the directive's reason, while Run
+// TestRunAllMarksSuppressed pins the NDJSON contract: RunAllCtx keeps
+// suppressed findings, flagged with the directive's reason, while RunCtx
 // drops them.
 func TestRunAllMarksSuppressed(t *testing.T) {
 	dir := writeFixtureModule(t, map[string]string{
@@ -130,9 +131,9 @@ func Eq(a, b float64) bool {
 `,
 	})
 	pkgs := loadFixtureModule(t, dir)
-	all := RunAll(pkgs, []*Analyzer{FloatEq})
+	all, _ := RunAllCtx(context.Background(), pkgs, []*Analyzer{FloatEq})
 	if len(all) != 2 {
-		t.Fatalf("RunAll returned %d findings, want 2: %v", len(all), all)
+		t.Fatalf("RunAllCtx returned %d findings, want 2: %v", len(all), all)
 	}
 	var suppressed, open int
 	for _, d := range all {
@@ -151,8 +152,8 @@ func Eq(a, b float64) bool {
 	if suppressed != 1 || open != 1 {
 		t.Errorf("suppressed=%d open=%d, want 1 and 1", suppressed, open)
 	}
-	if got := Run(pkgs, []*Analyzer{FloatEq}); len(got) != 1 {
-		t.Errorf("Run must drop the suppressed finding, got %v", got)
+	if got := run(pkgs, []*Analyzer{FloatEq}); len(got) != 1 {
+		t.Errorf("RunCtx must drop the suppressed finding, got %v", got)
 	}
 }
 
@@ -176,7 +177,7 @@ func emptyDenominator() float64 { return 0 }
 func badDenominator() float64 { return 0 }
 `,
 	})
-	diags := Run(loadFixtureModule(t, dir), []*Analyzer{SensAnn})
+	diags := run(loadFixtureModule(t, dir), []*Analyzer{SensAnn})
 	if len(diags) != 4 {
 		t.Fatalf("want 4 malformed-annotation findings, got %d: %v", len(diags), diags)
 	}

@@ -430,21 +430,6 @@ func isPanicCall(e ast.Expr) bool {
 	return ok && id.Name == "panic"
 }
 
-// preds returns the predecessor map of c (panic-source IN edges included
-// as predecessors of PanicExit).
-func (c *cfg) preds() map[*cfgBlock][]*cfgBlock {
-	p := make(map[*cfgBlock][]*cfgBlock)
-	for _, blk := range c.Blocks {
-		for _, e := range blk.Succs {
-			p[e.To] = append(p[e.To], blk)
-		}
-		if blk.PanicSource {
-			p[c.PanicExit] = append(p[c.PanicExit], blk)
-		}
-	}
-	return p
-}
-
 // witnessPath returns a shortest block path from→to (inclusive), skipping
 // blocks rejected by avoid, or nil when unreachable. It is the evidence
 // trail attached to path-sensitive findings.

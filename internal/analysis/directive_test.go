@@ -44,7 +44,7 @@ func Sum(xs []float64) float64 {
 }
 `,
 	})
-	diags := Run(loadFixtureModule(t, dir), []*Analyzer{EpsBound})
+	diags := run(loadFixtureModule(t, dir), []*Analyzer{EpsBound})
 	requireOneDiag(t, diags, "malformed //dp:loopbound directive: want //dp:loopbound k=<expr>")
 }
 
@@ -63,7 +63,7 @@ func Sum(xs []float64) float64 {
 }
 `,
 	})
-	diags := Run(loadFixtureModule(t, dir), []*Analyzer{EpsBound})
+	diags := run(loadFixtureModule(t, dir), []*Analyzer{EpsBound})
 	requireOneDiag(t, diags, "loop bound must be a positive finite count")
 }
 
@@ -86,7 +86,7 @@ func (b *Box) Inc() {
 }
 `,
 	})
-	diags := Run(loadFixtureModule(t, dir), []*Analyzer{Lockcheck})
+	diags := run(loadFixtureModule(t, dir), []*Analyzer{Lockcheck})
 	requireOneDiag(t, diags, "malformed //dp:guardedby directive: want //dp:guardedby <mutex|none> <reason>")
 }
 
@@ -109,7 +109,7 @@ func (b *Box) Inc() {
 }
 `,
 	})
-	diags := Run(loadFixtureModule(t, dir), []*Analyzer{Lockcheck})
+	diags := run(loadFixtureModule(t, dir), []*Analyzer{Lockcheck})
 	requireOneDiag(t, diags, `//dp:guardedby names unknown mutex "lock" on Box.n`)
 }
 
@@ -132,7 +132,7 @@ func (b *Box) Inc() {
 }
 `,
 	})
-	diags := Run(loadFixtureModule(t, dir), []*Analyzer{Lockcheck})
+	diags := run(loadFixtureModule(t, dir), []*Analyzer{Lockcheck})
 	requireOneDiag(t, diags, "//dp:guardedby directive is not anchored to a field of a mutex-holding struct")
 }
 
@@ -161,7 +161,7 @@ func (b *Box) Label() string {
 }
 `,
 	})
-	if diags := Run(loadFixtureModule(t, dir), []*Analyzer{Lockcheck}); len(diags) != 0 {
+	if diags := run(loadFixtureModule(t, dir), []*Analyzer{Lockcheck}); len(diags) != 0 {
 		t.Fatalf("exempt field produced findings: %v", diagMessages(diags))
 	}
 }

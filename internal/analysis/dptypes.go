@@ -82,18 +82,17 @@ func isTwoPhaseHold(t types.Type) bool {
 
 // isReleaseCall reports whether call releases DP-protected output: a
 // Release method on a Guarantee-bearing type, or a posterior Sample /
-// SampleTheta (and their context-aware SampleCtx / SampleThetaCtx
-// variants) on a Guarantee-bearing type (the Gibbs estimator's release
-// operation, Theorem 4.1). A Reservation's Release is NOT a DP release:
-// reservations bear no Guarantee method, so the receiver test excludes
-// them structurally.
+// SampleTheta (and the context-aware SampleCtx) on a Guarantee-bearing
+// type (the Gibbs estimator's release operation, Theorem 4.1). A
+// Reservation's Release is NOT a DP release: reservations bear no
+// Guarantee method, so the receiver test excludes them structurally.
 func isReleaseCall(pkg *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	switch sel.Sel.Name {
-	case "Release", "Sample", "SampleTheta", "SampleCtx", "SampleThetaCtx":
+	case "Release", "Sample", "SampleTheta", "SampleCtx":
 	default:
 		return false
 	}

@@ -18,7 +18,7 @@ func TestWALTxnIsTwoPhaseHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := loader.ModulePath() + "/internal/wal"
+	want := loader.modulePath + "/internal/wal"
 	for _, pkg := range pkgs {
 		if pkg.Path != want {
 			continue

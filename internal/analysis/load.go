@@ -79,9 +79,6 @@ func NewLoader(dir string) (*Loader, error) {
 // ModuleRoot returns the absolute path of the module root directory.
 func (l *Loader) ModuleRoot() string { return l.moduleRoot }
 
-// ModulePath returns the module path declared in go.mod.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)
 	if err != nil {

@@ -39,7 +39,7 @@ func Harness(d *Dataset, g *RNG) float64 {
 }
 `,
 	})
-	diags := Run(loadFixtureModule(t, dir), []*Analyzer{AcctLint})
+	diags := run(loadFixtureModule(t, dir), []*Analyzer{AcctLint})
 	if len(diags) != 2 {
 		t.Fatalf("want malformed-directive + un-accounted findings, got %v", diags)
 	}
@@ -80,7 +80,7 @@ func Driver(d *Dataset, g *RNG) float64 {
 }
 `,
 	})
-	diags := Run(loadFixtureModule(t, dir), []*Analyzer{AcctLint, PostProc})
+	diags := run(loadFixtureModule(t, dir), []*Analyzer{AcctLint, PostProc})
 	if len(diags) != 0 {
 		t.Fatalf("observer scopes should be exempt, got %v", diags)
 	}
@@ -101,7 +101,7 @@ func Driver(d *Dataset, g *RNG) float64 {
 }
 `,
 	})
-	diags := Run(loadFixtureModule(t, dir), []*Analyzer{AcctLint})
+	diags := run(loadFixtureModule(t, dir), []*Analyzer{AcctLint})
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "un-accounted release") {
 		t.Fatalf("want exactly the outer un-accounted release, got %v", diags)
 	}
@@ -130,7 +130,7 @@ func Pay(d *Dataset, acct *Accountant, g *RNG) float64 {
 }
 `,
 	})
-	diags := Run(loadFixtureModule(t, dir), []*Analyzer{AcctLint})
+	diags := run(loadFixtureModule(t, dir), []*Analyzer{AcctLint})
 	if len(diags) != 0 {
 		t.Fatalf("SpendDetail should satisfy accounting, got %v", diags)
 	}

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"strings"
-)
+import "strings"
 
 // ignorePrefix introduces a suppression directive:
 //
@@ -79,20 +76,6 @@ func (s *suppressionIndex) addPackage(pkg *Package) []Diagnostic {
 	return bad
 }
 
-// matches reports whether a directive suppresses d. The meta check
-// "dplint" itself cannot be suppressed.
-func (s *suppressionIndex) matches(d Diagnostic) bool {
-	if d.Check == "dplint" {
-		return false
-	}
-	for _, dir := range s.byFile[d.Pos.Filename] {
-		if dir.covers(d.Check, d.Pos.Line) {
-			return true
-		}
-	}
-	return false
-}
-
 // directiveFor returns the first directive in file that covers the given
 // check and line, for tests and tooling that want the recorded reason.
 func (s *suppressionIndex) directiveFor(file, check string, line int) (directive, bool) {
@@ -104,18 +87,6 @@ func (s *suppressionIndex) directiveFor(file, check string, line int) (directive
 	return directive{}, false
 }
 
-var _ = (*suppressionIndex).directiveFor // referenced by tests
-
 func isTestFilename(name string) bool {
 	return strings.HasSuffix(name, "_test.go")
-}
-
-// fileOf returns the *ast.File in pkg that contains pos, or nil.
-func fileOf(pkg *Package, pos ast.Node) *ast.File {
-	for _, f := range pkg.Files {
-		if f.Pos() <= pos.Pos() && pos.Pos() <= f.End() {
-			return f
-		}
-	}
-	return nil
 }

@@ -165,15 +165,6 @@ func logRatioAbs(a, b int) float64 {
 	return math.Abs(math.Log(float64(a)) - math.Log(float64(b)))
 }
 
-// SampleDiscrete audits a mechanism with a finite output range by
-// sampling. Outcomes with fewer than minCount draws on either side are
-// skipped. It returns ErrNoMass if no outcome qualifies.
-//
-//dp:observer audit entry point: samples the handed-in release to estimate realized eps; closures passed here are measurements, not release paths
-func SampleDiscrete(release func(*dataset.Dataset, *rng.RNG) int, numOutcomes int, pair NeighborPair, samples, minCount int, g *rng.RNG) (SampledResult, error) {
-	return SampleDiscreteCtx(context.Background(), release, numOutcomes, pair, samples, minCount, g)
-}
-
 // LaplaceAnalyticEpsilon returns the exact realized privacy loss of the
 // scalar Laplace mechanism between two query values a and b at noise
 // scale s: |a − b| / s. Useful as ground truth when auditing the auditor.

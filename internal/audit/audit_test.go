@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -171,7 +172,7 @@ func TestSampleDiscreteExponential(t *testing.T) {
 		d.Append(dataset.Example{X: []float64{g.Float64()}})
 	}
 	pair := NeighborPair{D: d, DPrime: d.ReplaceOne(0, dataset.Example{X: []float64{0.99}})}
-	res, err := SampleDiscrete(func(dd *dataset.Dataset, h *rng.RNG) int {
+	res, err := SampleDiscreteCtx(context.Background(), func(dd *dataset.Dataset, h *rng.RNG) int {
 		return m.Release(dd, h)
 	}, 5, pair, 150_000, 100, g)
 	if err != nil {
@@ -190,5 +191,5 @@ func TestSampleDiscretePanics(t *testing.T) {
 			t.Error("non-positive samples should panic")
 		}
 	}()
-	_, _ = SampleDiscrete(nil, 1, NeighborPair{}, 0, 1, rng.New(1))
+	_, _ = SampleDiscreteCtx(context.Background(), nil, 1, NeighborPair{}, 0, 1, rng.New(1))
 }

@@ -66,13 +66,15 @@ func histogramCompare(outD, outP []float64, samples, bins, minCount int) (Sample
 	return compareCounts(countD, countP, samples, minCount)
 }
 
-// SampleDiscreteCtx is SampleDiscrete under a context, checking for
-// cancellation every ctxStride sample pairs.
+// SampleDiscreteCtx audits a mechanism with a finite output range by
+// sampling, checking for cancellation every ctxStride sample pairs.
+// Outcomes with fewer than minCount draws on either side are skipped. It
+// returns ErrNoMass if no outcome qualifies.
 //
 //dp:observer audit entry point: samples the handed-in release to estimate realized eps; closures passed here are measurements, not release paths
 func SampleDiscreteCtx(ctx context.Context, release func(*dataset.Dataset, *rng.RNG) int, numOutcomes int, pair NeighborPair, samples, minCount int, g *rng.RNG) (SampledResult, error) {
 	if samples <= 0 || numOutcomes <= 0 {
-		panic("audit: SampleDiscrete requires positive samples and outcomes")
+		panic("audit: SampleDiscreteCtx requires positive samples and outcomes")
 	}
 	countD := make([]int, numOutcomes)
 	countP := make([]int, numOutcomes)

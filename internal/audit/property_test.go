@@ -139,14 +139,18 @@ func TestPropertyPermuteAndFlipPrivacy(t *testing.T) {
 
 func TestPropertyLearnerCalibrationExact(t *testing.T) {
 	// For any ε and n, the core-learner calibration λ = εn/2M must make
-	// the certificate equal ε exactly (round-trip identity).
+	// the Theorem 4.1 certificate 2λ·M/n equal ε exactly (round-trip
+	// identity).
 	f := func(epsRaw float64, nRaw uint16, boundRaw float64) bool {
 		eps := math.Abs(math.Mod(epsRaw, 20)) + 1e-3
 		n := int(nRaw%1000) + 1
 		bound := math.Abs(math.Mod(boundRaw, 50)) + 1e-3
 		loss := learn.NewClippedLoss(learn.SquaredLoss{}, bound)
-		lambda := gibbs.LambdaForEpsilon(eps, loss, n)
-		back := gibbs.EpsilonForLambda(lambda, loss, n)
+		est, err := gibbs.New(loss, [][]float64{{0}}, nil, gibbs.LambdaForEpsilon(eps, loss, n))
+		if err != nil {
+			return false
+		}
+		back := est.Guarantee(n).Epsilon
 		return math.Abs(back-eps) < 1e-9*math.Max(1, eps)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

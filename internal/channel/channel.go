@@ -102,27 +102,6 @@ func FromMechanismCtx(ctx context.Context, inputs []*dataset.Dataset, logPX []fl
 	return &Channel{LogPX: px, Rows: rows, Parallel: opts}, nil
 }
 
-// New constructs a channel from explicit normalized log rows and input
-// masses, validating shapes and normalization to within 1e-6.
-func New(logPX []float64, rows [][]float64) (*Channel, error) {
-	if len(logPX) == 0 || len(logPX) != len(rows) {
-		return nil, ErrBadChannel
-	}
-	if !mathx.AlmostEqual(mathx.LogSumExp(logPX), 0, 1e-6) {
-		return nil, fmt.Errorf("channel: input distribution not normalized")
-	}
-	width := len(rows[0])
-	for i, r := range rows {
-		if len(r) != width {
-			return nil, fmt.Errorf("channel: ragged row %d", i)
-		}
-		if !mathx.AlmostEqual(mathx.LogSumExp(r), 0, 1e-6) {
-			return nil, fmt.Errorf("channel: row %d not normalized", i)
-		}
-	}
-	return &Channel{LogPX: logPX, Rows: rows}, nil
-}
-
 // NumInputs returns the sample-space size.
 func (c *Channel) NumInputs() int { return len(c.LogPX) }
 

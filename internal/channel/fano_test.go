@@ -23,10 +23,7 @@ func TestReconstructionIdentityChannel(t *testing.T) {
 			}
 		}
 	}
-	ch, err := New(logPX, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := &Channel{LogPX: logPX, Rows: rows}
 	rep, err := ch.Reconstruction()
 	if err != nil {
 		t.Fatal(err)
@@ -52,10 +49,7 @@ func TestReconstructionConstantChannel(t *testing.T) {
 		logPX[i] = -math.Log(float64(k))
 		rows[i] = []float64{0} // single output
 	}
-	ch, err := New(logPX, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := &Channel{LogPX: logPX, Rows: rows}
 	rep, err := ch.Reconstruction()
 	if err != nil {
 		t.Fatal(err)
@@ -107,18 +101,12 @@ func TestReconstructionGibbsChannelInvariants(t *testing.T) {
 
 func TestFanoDegenerate(t *testing.T) {
 	// Single-input channel: degenerate.
-	ch, err := New([]float64{0}, [][]float64{{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := &Channel{LogPX: []float64{0}, Rows: [][]float64{{0}}}
 	if _, err := ch.FanoErrorLowerBound(); err != ErrDegenerateChannel {
 		t.Errorf("expected ErrDegenerateChannel, got %v", err)
 	}
 	// Two-input channel: vacuous bound 0, no error.
-	ch2, err := New([]float64{math.Log(0.5), math.Log(0.5)}, [][]float64{{0}, {0}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch2 := &Channel{LogPX: []float64{math.Log(0.5), math.Log(0.5)}, Rows: [][]float64{{0}, {0}}}
 	b, err := ch2.FanoErrorLowerBound()
 	if err != nil || b != 0 {
 		t.Errorf("two-input Fano = %v, %v", b, err)

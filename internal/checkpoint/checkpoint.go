@@ -53,7 +53,6 @@ type key struct {
 type Log struct {
 	mu   sync.Mutex
 	f    *os.File
-	path string
 	done map[key]json.RawMessage
 }
 
@@ -71,7 +70,7 @@ func Open(path string, resume bool) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: open %s: %w", path, err)
 	}
-	l := &Log{f: f, path: path, done: make(map[key]json.RawMessage)}
+	l := &Log{f: f, done: make(map[key]json.RawMessage)}
 	if resume {
 		err := ScanRepair(f, func(line []byte) {
 			var e entry
@@ -121,14 +120,6 @@ func ScanRepair(f *os.File, line func([]byte)) error {
 		}
 	}
 	return nil
-}
-
-// Path returns the log's file path ("" on a nil log).
-func (l *Log) Path() string {
-	if l == nil {
-		return ""
-	}
-	return l.path
 }
 
 // Len returns the number of recorded entries.

@@ -107,11 +107,11 @@ func TestFitLedgersThroughAccountantObserver(t *testing.T) {
 		t.Fatalf("ledger (%g,%g) != accountant (%g,%g)", e, del, g.Epsilon, g.Delta)
 	}
 	// And the spend landed inside a live trace span tree.
-	recs, err := obs.ReadLedgerNDJSON(bytes.NewReader(buf.Bytes()))
+	data, err := obs.ReadTraceNDJSON(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0] != rec {
+	if recs := data.Ledger; len(recs) != 1 || recs[0] != rec {
 		t.Fatalf("trace stream ledger mismatch: %+v", recs)
 	}
 }

@@ -215,20 +215,6 @@ func Run(id string, opts Options) (*Table, error) {
 	return r(opts)
 }
 
-// RunAll executes every experiment in ID order, writing each table to w.
-func RunAll(opts Options, w io.Writer) error {
-	for _, id := range IDs() {
-		t, err := Run(id, opts)
-		if err != nil {
-			return fmt.Errorf("experiments: %s failed: %w", id, err)
-		}
-		if err := t.Render(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RunMany executes the given experiments concurrently (bounded by
 // workers) and returns the tables in the requested order. Each
 // experiment is internally deterministic given opts.Seed, so concurrent

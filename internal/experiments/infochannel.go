@@ -8,7 +8,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gibbs"
 	"repro/internal/infotheory"
-	"repro/internal/learn"
 	"repro/internal/mathx"
 )
 
@@ -145,13 +144,4 @@ func E8LeakageBounds(opts Options) (*Table, error) {
 	t.AddNote("expected shape: I <= capacity <= eps*n at every eps; capacity is much tighter than the trivial cap at small eps")
 	t.AddNote("all rows ok: %v", allOK)
 	return t, nil
-}
-
-// riskForGridOnInputs computes per-input per-θ risks for a loss.
-func riskForGridOnInputs(l learn.Loss, thetas [][]float64, inputs []*dataset.Dataset) [][]float64 {
-	out := make([][]float64, len(inputs))
-	for i, d := range inputs {
-		out[i] = learn.RiskVector(l, thetas, d)
-	}
-	return out
 }

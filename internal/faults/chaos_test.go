@@ -53,14 +53,14 @@ func chaosLearner(t *testing.T, loss learn.Loss, eps float64, acct *mechanism.Ac
 // deterministic across worker counts, and a fault-free plan reproduces
 // the plain reduction bit-for-bit.
 func TestChaosWorkerPanics(t *testing.T) {
-	const n = 1 << 17
+	const n, grain = 1 << 17, 256
 	sched := faults.NewSchedule(23, map[faults.Class]float64{faults.WorkerPanic: 0.0002})
 	term := func(i int) float64 { return math.Sqrt(float64(i)) }
-	want := parallel.Sum(n, parallel.Options{Workers: 1}, term)
+	want := parallel.SumGrain(n, grain, parallel.Options{Workers: 1}, term)
 	var firstLo atomic.Int64
 	firstLo.Store(-1)
 	for _, workers := range []int{1, 2, 8} {
-		_, err := parallel.SumCtx(context.Background(), n, parallel.Options{Workers: workers}, func(i int) float64 {
+		_, err := parallel.SumGrainCtx(context.Background(), n, grain, parallel.Options{Workers: workers}, func(i int) float64 {
 			sched.Panic(faults.WorkerPanic, i)
 			return term(i)
 		})
@@ -76,7 +76,7 @@ func TestChaosWorkerPanics(t *testing.T) {
 		}
 		// The same plan, fault-free classes only: the reduction completes
 		// and is bit-identical to the serial sum.
-		got, err := parallel.SumCtx(context.Background(), n, parallel.Options{Workers: workers}, term)
+		got, err := parallel.SumGrainCtx(context.Background(), n, grain, parallel.Options{Workers: workers}, term)
 		if err != nil {
 			t.Fatal(err)
 		}

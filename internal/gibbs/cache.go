@@ -24,8 +24,6 @@ const cacheCapacity = 64
 type RiskCache struct {
 	mu sync.Mutex
 	m  map[dataset.Fingerprint][]float64
-
-	hits, misses, evictions int
 }
 
 // NewRiskCache returns an empty cache.
@@ -37,13 +35,7 @@ func NewRiskCache() *RiskCache {
 func (c *RiskCache) lookup(fp dataset.Fingerprint) []float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, ok := c.m[fp]
-	if ok {
-		c.hits++
-		return r
-	}
-	c.misses++
-	return nil
+	return c.m[fp]
 }
 
 // store records a risk vector for fp, evicting an arbitrary entry when
@@ -57,19 +49,10 @@ func (c *RiskCache) store(fp dataset.Fingerprint, risks []float64) (evicted bool
 			delete(c.m, k)
 			break
 		}
-		c.evictions++
 		evicted = true
 	}
 	c.m[fp] = risks
 	return evicted
-}
-
-// Stats reports cumulative lookup hits, misses, and evictions (for
-// tests, benchmarks, and the metrics registry).
-func (c *RiskCache) Stats() (hits, misses, evictions int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
 }
 
 // Len returns the number of cached risk vectors.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/learn"
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -17,7 +18,14 @@ func cacheTestEstimator(t *testing.T) *Estimator {
 	if err != nil {
 		t.Fatal(err)
 	}
+	est.Parallel.Obs = &obs.Observer{Metrics: obs.NewRegistry()}
 	return est
+}
+
+// cacheCount reads one of the risk cache's counters
+// (dplearn_risk_cache_<kind>_total) from the estimator's registry.
+func cacheCount(est *Estimator, kind string) uint64 {
+	return est.Parallel.Obs.Reg().Counter("dplearn_risk_cache_"+kind+"_total", "").Value()
 }
 
 func cacheTestData(seed int64, n int) *dataset.Dataset {
@@ -42,7 +50,7 @@ func TestRiskCacheMemoizes(t *testing.T) {
 		}
 	}
 	_ = est.Risks(d2)
-	hits, misses, evictions := est.Cache.Stats()
+	hits, misses, evictions := cacheCount(est, "hits"), cacheCount(est, "misses"), cacheCount(est, "evictions")
 	if hits != 1 || misses != 2 || evictions != 0 {
 		t.Errorf("stats = (%d hits, %d misses, %d evictions), want (1, 2, 0)", hits, misses, evictions)
 	}
@@ -78,7 +86,7 @@ func TestRiskCacheEvictsAtCapacity(t *testing.T) {
 	if got := est.Cache.Len(); got > cacheCapacity {
 		t.Fatalf("cache grew to %d entries, capacity %d", got, cacheCapacity)
 	}
-	if _, _, evictions := est.Cache.Stats(); evictions != 8 {
+	if evictions := cacheCount(est, "evictions"); evictions != 8 {
 		t.Fatalf("evictions = %d, want 8", evictions)
 	}
 }

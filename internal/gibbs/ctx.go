@@ -116,15 +116,6 @@ func (e *Estimator) SampleCtx(ctx context.Context, d *dataset.Dataset, g *rng.RN
 	return g.CategoricalLog(logw), nil
 }
 
-// SampleThetaCtx is SampleTheta with cancellation and typed errors.
-func (e *Estimator) SampleThetaCtx(ctx context.Context, d *dataset.Dataset, g *rng.RNG) ([]float64, error) {
-	i, err := e.SampleCtx(ctx, d, g)
-	if err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), e.Thetas[i]...), nil
-}
-
 // StatsCtx is Stats with cancellation and typed errors.
 func (e *Estimator) StatsCtx(ctx context.Context, d *dataset.Dataset) (pacbayes.PosteriorStats, error) {
 	post, err := e.LogPosteriorCtx(ctx, d)

@@ -108,4 +108,14 @@ func TestSampleCtxDegeneratePosterior(t *testing.T) {
 	if _, err := e.LogPosteriorCtx(context.Background(), d); !errors.Is(err, ErrDegeneratePosterior) {
 		t.Fatalf("LogPosteriorCtx: want ErrDegeneratePosterior, got %v", err)
 	}
+	// The plain Sample panics with the same typed error.
+	func() {
+		defer func() {
+			r := recover()
+			if err, _ := r.(error); !errors.Is(err, ErrDegeneratePosterior) {
+				t.Fatalf("Sample: want a panic wrapping ErrDegeneratePosterior, got %v", r)
+			}
+		}()
+		e.Sample(d, rng.New(1))
+	}()
 }

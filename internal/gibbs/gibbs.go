@@ -120,15 +120,15 @@ func (e *Estimator) LogProbabilities(d *dataset.Dataset) []float64 {
 	return e.LogPosterior(d)
 }
 
-// Sample draws a predictor index from the Gibbs posterior.
+// Sample draws a predictor index from the Gibbs posterior. A posterior
+// with no admissible predictor panics with an error wrapping
+// ErrDegeneratePosterior; SampleCtx returns it instead.
 func (e *Estimator) Sample(d *dataset.Dataset, g *rng.RNG) int {
-	logw := make([]float64, len(e.Thetas))
-	prior := e.logPriorOrUniform()
-	risks := e.Risks(d)
-	for i := range logw {
-		logw[i] = prior[i] - e.Lambda*risks[i]
+	i, err := e.SampleCtx(context.Background(), d, g)
+	if err != nil {
+		panic(err)
 	}
-	return g.CategoricalLog(logw)
+	return i
 }
 
 // SampleTheta draws a predictor vector from the Gibbs posterior.
@@ -147,22 +147,6 @@ func (e *Estimator) RiskSensitivity(n int) float64 {
 // For an unbounded loss the guarantee is vacuous (ε = +Inf).
 func (e *Estimator) Guarantee(n int) mechanism.Guarantee {
 	return mechanism.Guarantee{Epsilon: 2 * e.Lambda * e.RiskSensitivity(n)}
-}
-
-// PosteriorMeanRisk returns E_{θ~π̂} R̂_Ẑ(θ), the posterior-expected
-// empirical risk on d, via the ordered chunked reduction (bit-identical
-// across worker counts).
-func (e *Estimator) PosteriorMeanRisk(d *dataset.Dataset) float64 {
-	post := e.LogPosterior(d)
-	risks := e.Risks(d)
-	return parallel.Sum(len(post), e.Parallel, func(i int) float64 {
-		lp := post[i]
-		if math.IsInf(lp, -1) {
-			return 0
-		}
-		//dplint:ignore expdomain bounded argument: lp is a normalized log-posterior entry, so lp <= 0 and exp stays in (0,1]
-		return math.Exp(lp) * risks[i]
-	})
 }
 
 // PosteriorMeanTheta returns E_{θ~π̂} θ, the posterior-mean parameter
@@ -189,8 +173,9 @@ func (e *Estimator) PosteriorMeanTheta(d *dataset.Dataset) []float64 {
 
 // Stats returns the PAC-Bayes statistics (expected empirical risk and
 // KL(π̂‖π)) of the Gibbs posterior on d, ready to plug into the bounds.
+// It is StatsCtx without cancellation.
 func (e *Estimator) Stats(d *dataset.Dataset) (pacbayes.PosteriorStats, error) {
-	return pacbayes.StatsFor(e.LogPosterior(d), e.logPriorOrUniform(), e.Risks(d))
+	return e.StatsCtx(context.Background(), d)
 }
 
 // UtilityBound returns the McSherry–Talwar utility guarantee transferred
@@ -220,14 +205,4 @@ func LambdaForEpsilon(epsilon float64, loss learn.Loss, n int) float64 {
 		panic(err)
 	}
 	return lambda
-}
-
-// EpsilonForLambda returns the Theorem 4.1 privacy level of the Gibbs
-// estimator at inverse temperature λ for a [0, M]-bounded loss on samples
-// of size n: ε = 2·λ·M/n.
-func EpsilonForLambda(lambda float64, loss learn.Loss, n int) float64 {
-	if lambda <= 0 || n <= 0 {
-		panic("gibbs: EpsilonForLambda requires lambda > 0 and n > 0")
-	}
-	return 2 * lambda * loss.Bound() / float64(n)
 }

@@ -71,12 +71,6 @@ func Entropy(p []float64) (float64, error) {
 	return h, nil
 }
 
-// EntropyBits returns H(p) in bits.
-func EntropyBits(p []float64) (float64, error) {
-	h, err := Entropy(p)
-	return Nats2Bits(h), err
-}
-
 // KL returns the Kullback–Leibler divergence D(p‖q) in nats. It returns
 // ErrNotAbsolutelyContinuous if p has mass where q does not.
 func KL(p, q []float64) (float64, error) {

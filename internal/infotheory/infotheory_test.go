@@ -17,10 +17,6 @@ func TestEntropyKnown(t *testing.T) {
 	if !mathx.AlmostEqual(h, math.Ln2, 1e-12) {
 		t.Errorf("H(fair coin) = %v, want ln2", h)
 	}
-	hb, err := EntropyBits([]float64{0.5, 0.5})
-	if err != nil || !mathx.AlmostEqual(hb, 1, 1e-12) {
-		t.Errorf("H(fair coin) = %v bits, want 1", hb)
-	}
 	// Deterministic distribution has zero entropy.
 	h0, err := Entropy([]float64{1, 0, 0})
 	if err != nil || h0 != 0 {

@@ -117,12 +117,3 @@ func ObjectivePerturbationLogistic(d *dataset.Dataset, lambda, epsilon float64, 
 	}
 	return theta, nil
 }
-
-// OutputPerturbationSensitivity returns the L2 sensitivity 2/(n·λ) that
-// output perturbation is calibrated to, exposed for tests and reports.
-func OutputPerturbationSensitivity(n int, lambda float64) float64 {
-	if n <= 0 || lambda <= 0 {
-		panic("learn: OutputPerturbationSensitivity requires n > 0 and lambda > 0")
-	}
-	return 2 / (float64(n) * lambda)
-}

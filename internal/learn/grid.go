@@ -97,17 +97,6 @@ func (g *Grid) GaussianLogPrior(sigma float64) []float64 {
 	return normalized
 }
 
-// LogisticLossBound returns an upper bound on the logistic loss over this
-// grid for examples with ‖x‖₂ ≤ xNorm: log(1 + exp(maxNorm·xNorm)).
-func (g *Grid) LogisticLossBound(xNorm float64) float64 {
-	m := g.MaxNorm() * xNorm
-	// log(1+e^m) computed stably.
-	if m > 0 {
-		return m + math.Log1p(math.Exp(-m))
-	}
-	return math.Log1p(math.Exp(m))
-}
-
 // SquaredLossBound returns an upper bound on the squared loss over this
 // grid for |y| ≤ yMax and ‖x‖₂ ≤ xNorm: (maxNorm·xNorm + yMax)².
 func (g *Grid) SquaredLossBound(xNorm, yMax float64) float64 {

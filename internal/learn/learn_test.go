@@ -204,12 +204,7 @@ func TestGridPanics(t *testing.T) {
 
 func TestGridLossBounds(t *testing.T) {
 	g := NewGrid(-2, 2, 2, 5)
-	lb := g.LogisticLossBound(1)
-	// Max margin magnitude = maxNorm·1 = 2√2; bound = log(1+e^{2√2}).
-	want := math.Log(1 + math.Exp(2*math.Sqrt2))
-	if !mathx.AlmostEqual(lb, want, 1e-9) {
-		t.Errorf("LogisticLossBound = %v, want %v", lb, want)
-	}
+	// Max margin magnitude = maxNorm·1 = 2√2.
 	sb := g.SquaredLossBound(1, 1)
 	wantSq := (2*math.Sqrt2 + 1) * (2*math.Sqrt2 + 1)
 	if !mathx.AlmostEqual(sb, wantSq, 1e-9) {
@@ -369,7 +364,7 @@ func TestOutputPerturbationLogistic(t *testing.T) {
 		}
 		w.Add(math.Sqrt(d2))
 	}
-	wantScale := OutputPerturbationSensitivity(d.Len(), lambda) / 0.1 // scale = 2/(nλε)
+	wantScale := 2 / (float64(d.Len()) * lambda * 0.1) // scale = 2/(nλε)
 	// Mean gamma(d=2, scale) magnitude = 2·scale.
 	if math.Abs(w.Mean()-2*wantScale)/(2*wantScale) > 0.3 {
 		t.Errorf("noise magnitude mean = %v, want ≈ %v", w.Mean(), 2*wantScale)

@@ -61,118 +61,6 @@ func (c *Cholesky) LogDet() float64 {
 	return 2 * s
 }
 
-// LU holds a partially-pivoted LU factorization P·A = L·U with L unit
-// lower triangular stored below the diagonal of lu and U on and above it.
-type LU struct {
-	lu    *Matrix
-	pivot []int
-	sign  float64
-}
-
-// NewLU factors the square matrix a with partial pivoting. It returns
-// ErrSingular if a zero (or subnormal) pivot is encountered.
-func NewLU(a *Matrix) (*LU, error) {
-	if a.rows != a.cols {
-		panic("linalg: LU of non-square matrix")
-	}
-	n := a.rows
-	lu := a.Clone()
-	pivot := make([]int, n)
-	sign := 1.0
-	for k := 0; k < n; k++ {
-		// Find pivot row.
-		p := k
-		maxv := math.Abs(lu.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(lu.At(i, k)); v > maxv {
-				maxv, p = v, i
-			}
-		}
-		pivot[k] = p
-		if maxv < 1e-300 {
-			return nil, ErrSingular
-		}
-		if p != k {
-			sign = -sign
-			for j := 0; j < n; j++ {
-				lu.data[k*n+j], lu.data[p*n+j] = lu.data[p*n+j], lu.data[k*n+j]
-			}
-		}
-		pv := lu.At(k, k)
-		for i := k + 1; i < n; i++ {
-			m := lu.At(i, k) / pv
-			lu.Set(i, k, m)
-			if m == 0 { //dplint:ignore floateq sparsity skip: an exactly-zero multiplier eliminates nothing
-				continue
-			}
-			for j := k + 1; j < n; j++ {
-				lu.data[i*n+j] -= m * lu.data[k*n+j]
-			}
-		}
-	}
-	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
-}
-
-// Solve solves A·x = b using the factorization.
-func (f *LU) Solve(b []float64) []float64 {
-	n := f.lu.rows
-	if len(b) != n {
-		panic(fmt.Sprintf("linalg: LU.Solve dimension mismatch %d vs %d", len(b), n))
-	}
-	x := make([]float64, n)
-	copy(x, b)
-	// Apply permutation.
-	for k := 0; k < n; k++ {
-		if p := f.pivot[k]; p != k {
-			x[k], x[p] = x[p], x[k]
-		}
-	}
-	// Forward substitution with unit lower triangle.
-	for i := 1; i < n; i++ {
-		var s float64
-		for j := 0; j < i; j++ {
-			s += f.lu.At(i, j) * x[j]
-		}
-		x[i] -= s
-	}
-	// Back substitution with U.
-	for i := n - 1; i >= 0; i-- {
-		var s float64
-		for j := i + 1; j < n; j++ {
-			s += f.lu.At(i, j) * x[j]
-		}
-		x[i] = (x[i] - s) / f.lu.At(i, i)
-	}
-	return x
-}
-
-// Det returns det A (sign · product of U's diagonal).
-func (f *LU) Det() float64 {
-	d := f.sign
-	for i := 0; i < f.lu.rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// Inverse returns A⁻¹ by solving against each unit vector.
-func (f *LU) Inverse() *Matrix {
-	n := f.lu.rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col := f.Solve(e)
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv
-}
-
 // QR holds a Householder QR factorization A = Q·R of an m×n matrix with
 // m >= n. Q is represented implicitly by the Householder vectors.
 type QR struct {
@@ -299,11 +187,6 @@ func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return c.Solve(b), nil
-}
-
-// LeastSquares returns argmin_x ‖A·x − b‖₂ via QR.
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	return NewQR(a).Solve(b)
 }
 
 // RidgeSolve returns argmin_x ‖A·x − b‖₂² + lambda·‖x‖₂², solved via the

@@ -1,8 +1,7 @@
 // Package linalg implements the dense linear algebra the learning
 // substrate needs: vectors, row-major matrices, a BLAS-like operation
-// subset, and direct factorizations (Cholesky, partially-pivoted LU,
-// Householder QR) with the triangular solves and least-squares driver
-// built on them.
+// subset, the Jacobi eigensolver, and direct factorizations (Cholesky,
+// Householder QR) with the triangular solves built on them.
 //
 // Dimension mismatches are programmer errors and panic; rank and
 // conditioning problems are data-dependent and return errors.
@@ -12,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 )
 
 // ErrSingular is returned when a factorization or solve encounters an
@@ -80,16 +78,6 @@ func (m *Matrix) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("linalg: index (%d,%d) out of range %d×%d", i, j, m.rows, m.cols))
 	}
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic("linalg: Row index out of range")
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
 }
 
 // Col returns a copy of column j.
@@ -270,20 +258,4 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return s
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.rows; i++ {
-		b.WriteString("[")
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(&b, "%.6g", m.At(i, j))
-		}
-		b.WriteString("]\n")
-	}
-	return b.String()
 }

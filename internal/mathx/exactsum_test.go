@@ -38,7 +38,7 @@ func randTerms(g *rng.RNG, n, center, width int) []float64 {
 	for i := range xs {
 		e := center - width + g.Intn(2*width+1)
 		e = max(0, min(e, 2046))
-		mant := uint64(g.Int63n(1 << 52))
+		mant := uint64(g.Intn(1 << 52))
 		if g.Intn(4) == 0 {
 			mant &^= 1<<40 - 1 // short mantissas make exact ties likely
 		}

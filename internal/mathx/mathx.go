@@ -277,9 +277,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// Count returns the number of observations seen.
-func (w *Welford) Count() int { return w.n }
-
 // Mean returns the running mean (0 for an empty stream).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -300,9 +297,6 @@ func (w *Welford) PopulationVariance() float64 {
 	}
 	return w.m2 / float64(w.n)
 }
-
-// StdDev returns the square root of the unbiased sample variance.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Bisect finds a root of f in [lo, hi] by bisection. f(lo) and f(hi) must
 // have opposite signs (a zero at either endpoint is returned immediately).
@@ -397,23 +391,6 @@ func Logspace(lo, hi float64, n int) []float64 {
 	return pts
 }
 
-// MinMax returns the minimum and maximum of xs. It panics on an empty slice.
-func MinMax(xs []float64) (minv, maxv float64) {
-	if len(xs) == 0 {
-		panic("mathx: MinMax of empty slice")
-	}
-	minv, maxv = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < minv {
-			minv = x
-		}
-		if x > maxv {
-			maxv = x
-		}
-	}
-	return minv, maxv
-}
-
 // ArgMax returns the index of the largest element (first occurrence).
 // It panics on an empty slice.
 func ArgMax(xs []float64) int {
@@ -457,15 +434,6 @@ func Dot(a, b []float64) float64 {
 	return k.Sum()
 }
 
-// L1Norm returns sum_i |xs[i]|.
-func L1Norm(xs []float64) float64 {
-	var k KahanSum
-	for _, x := range xs {
-		k.Add(math.Abs(x))
-	}
-	return k.Sum()
-}
-
 // L2Norm returns the Euclidean norm of xs, scaled to avoid overflow.
 func L2Norm(xs []float64) float64 {
 	var scale, ssq float64 = 0, 1
@@ -484,15 +452,4 @@ func L2Norm(xs []float64) float64 {
 		}
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// LInfNorm returns max_i |xs[i]| (0 for an empty slice).
-func LInfNorm(xs []float64) float64 {
-	var m float64
-	for _, x := range xs {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }

@@ -126,34 +126,6 @@ func (m *IntervalMechanism) Guarantee() Guarantee {
 	return Guarantee{Epsilon: 2 * m.Epsilon * m.Sensitivity}
 }
 
-// MaxLogDensityRatio returns the exact realized privacy loss between two
-// interval mechanisms with identical geometry (same Lo/Hi/Breaks):
-// sup over x of |log f₁(x) − log f₂(x)|. It is the continuous-output
-// analogue of audit.ExactEpsilon. Mechanisms with different breakpoints
-// return +Inf only when a piece of one has zero mass where the other
-// doesn't — with shared geometry this cannot happen.
-func MaxLogDensityRatio(m1, m2 *IntervalMechanism) (float64, error) {
-	//dplint:ignore floateq shared-geometry precondition: both mechanisms must carry bitwise-identical endpoints
-	if m1.Lo != m2.Lo || m1.Hi != m2.Hi || len(m1.Breaks) != len(m2.Breaks) {
-		return 0, ErrBadInterval
-	}
-	for i := range m1.Breaks {
-		if m1.Breaks[i] != m2.Breaks[i] { //dplint:ignore floateq shared-geometry precondition: breakpoints must be bitwise-identical copies
-			return 0, ErrBadInterval
-		}
-	}
-	z1 := mathx.LogSumExp(m1.logPieceMasses())
-	z2 := mathx.LogSumExp(m2.logPieceMasses())
-	var worst float64
-	for i := range m1.PieceQuality {
-		d := math.Abs((m1.Epsilon*m1.PieceQuality[i] - z1) - (m2.Epsilon*m2.PieceQuality[i] - z2))
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
-}
-
 // ContinuousMedian builds the exact continuous exponential mechanism for
 // the median of feature j over [lo, hi]: quality at x is
 // −|#{records < x} − n/2|, which is piecewise constant between the

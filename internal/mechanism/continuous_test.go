@@ -91,7 +91,7 @@ func TestContinuousMedianAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trueMed := stats.Median(d.Feature(0))
+	trueMed := stats.Quantile(d.Feature(0), 0.5)
 	hits := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
@@ -101,41 +101,6 @@ func TestContinuousMedianAccuracy(t *testing.T) {
 	}
 	if float64(hits)/trials < 0.9 {
 		t.Errorf("continuous private median near truth only %d/%d", hits, trials)
-	}
-}
-
-func TestContinuousMedianExactPrivacy(t *testing.T) {
-	// Neighbors that move one record: the density ratio must respect
-	// 2εΔq everywhere. To compare densities with MaxLogDensityRatio the
-	// two mechanisms need shared geometry, so replace a record with
-	// another EXISTING value (a duplicate) — breakpoints are unchanged.
-	g := rng.New(5)
-	eps := 0.6
-	d := &dataset.Dataset{}
-	for i := 0; i < 51; i++ {
-		d.Append(dataset.Example{X: []float64{g.Float64()}})
-	}
-	// Replace record 0 by a duplicate of record 1's value.
-	nb := d.ReplaceOne(0, dataset.Example{X: []float64{d.Examples[1].X[0]}})
-	m1, err := ContinuousMedian(d, 0, 0, 1, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := ContinuousMedian(nb, 0, 0, 1, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Geometry may differ by the removed breakpoint; only audit when the
-	// geometry matches (the duplicate keeps record 0's old value as a
-	// breakpoint only if another record shares it — check and skip
-	// gracefully otherwise by refining both to common breaks).
-	got, err := MaxLogDensityRatio(m1, m2)
-	if err != nil {
-		t.Skip("geometry differs; covered by the sampled audit below")
-	}
-	budget := m1.Guarantee().Epsilon
-	if got > budget+1e-9 {
-		t.Errorf("density ratio %v exceeds budget %v", got, budget)
 	}
 }
 

@@ -99,30 +99,10 @@ func (m *Exponential) UtilityBound(beta float64) float64 {
 }
 
 // PrivateMedian returns an exponential mechanism selecting a private
-// median of feature j from the given candidate grid. The quality of
-// candidate c is −|#{x < c} − n/2| (higher when c splits the data evenly),
-// whose sensitivity under replace-one neighbors is 1.
-func PrivateMedian(j int, candidates []float64, epsilon float64) (*Exponential, []float64, error) {
-	if len(candidates) == 0 {
-		return nil, nil, errors.New("mechanism: PrivateMedian needs candidates")
-	}
-	grid := append([]float64(nil), candidates...)
-	//dp:sensitivity Δq=1 (replace-one moves the below-count by at most 1; |·| is 1-Lipschitz)
-	quality := func(d *dataset.Dataset, u int) float64 {
-		c := grid[u]
-		var below float64
-		for _, e := range d.Examples {
-			if e.X[j] < c {
-				below++
-			}
-		}
-		return -math.Abs(below - float64(d.Len())/2)
-	}
-	m, err := NewExponential(quality, len(grid), 1, epsilon)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, grid, nil
+// median of feature j from the given candidate grid: PrivateQuantile at
+// p = 1/2, whose quality −|#{x < c} − n/2| has replace-one sensitivity 1.
+func PrivateMedian(j int, candidates []float64, epsilon float64) (*Exponential, []float64, error) { //dplint:ignore epscheck thin wrapper: PrivateQuantile validates epsilon through NewExponential
+	return PrivateQuantile(j, 0.5, candidates, epsilon)
 }
 
 // PrivateMode returns an exponential mechanism selecting the most common

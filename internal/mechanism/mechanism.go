@@ -252,15 +252,11 @@ func NewRandomizedResponse(epsilon float64) (*RandomizedResponse, error) {
 	return &RandomizedResponse{Epsilon: epsilon}, nil
 }
 
-// TruthProbability returns e^ε/(1+e^ε), the per-record truth-telling
-// probability, computed as the numerically stable logistic sigmoid.
-func (m *RandomizedResponse) TruthProbability() float64 {
-	return mathx.Sigmoid(m.Epsilon)
-}
-
-// Release perturbs each bit independently.
+// Release perturbs each bit independently: it keeps a bit with the
+// truth-telling probability e^ε/(1+e^ε), computed as the numerically
+// stable logistic sigmoid.
 func (m *RandomizedResponse) Release(bits []bool, g *rng.RNG) []bool {
-	p := m.TruthProbability()
+	p := mathx.Sigmoid(m.Epsilon)
 	out := make([]bool, len(bits))
 	for i, b := range bits {
 		if g.Bernoulli(p) {
@@ -272,50 +268,5 @@ func (m *RandomizedResponse) Release(bits []bool, g *rng.RNG) []bool {
 	return out
 }
 
-// EstimateProportion debiases the released bits to estimate the true
-// proportion of ones: p̂ = (f̂ + p − 1)/(2p − 1) where f̂ is the observed
-// frequency and p the truth probability.
-func (m *RandomizedResponse) EstimateProportion(released []bool) float64 {
-	if len(released) == 0 {
-		return math.NaN()
-	}
-	var ones float64
-	for _, b := range released {
-		if b {
-			ones++
-		}
-	}
-	f := ones / float64(len(released))
-	p := m.TruthProbability()
-	return (f + p - 1) / (2*p - 1)
-}
-
 // Guarantee returns (ε, 0) per record.
 func (m *RandomizedResponse) Guarantee() Guarantee { return Guarantee{Epsilon: m.Epsilon} }
-
-// EmpiricalL1Sensitivity estimates the L1 sensitivity of an arbitrary
-// query by sampling trials random neighbor pairs: datasets drawn by gen
-// with one record replaced by another generated record. It is a lower
-// bound on the global sensitivity, useful for sanity-checking hand-derived
-// constants in tests.
-func EmpiricalL1Sensitivity(q func(*dataset.Dataset) []float64, gen func(*rng.RNG) *dataset.Dataset, trials int, g *rng.RNG) float64 {
-	var maxDiff float64
-	for t := 0; t < trials; t++ {
-		d := gen(g)
-		if d.Len() == 0 {
-			continue
-		}
-		alt := gen(g)
-		i := g.Intn(d.Len())
-		nb := d.ReplaceOne(i, alt.Examples[g.Intn(alt.Len())])
-		a, b := q(d), q(nb)
-		var diff float64
-		for k := range a {
-			diff += math.Abs(a[k] - b[k])
-		}
-		if diff > maxDiff {
-			maxDiff = diff
-		}
-	}
-	return maxDiff
-}

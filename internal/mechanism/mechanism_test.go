@@ -13,6 +13,32 @@ func binaryData(bits ...int) *dataset.Dataset {
 	return dataset.BernoulliTable{P: 0.5}.FromBits(bits)
 }
 
+// empiricalL1Sensitivity estimates the L1 sensitivity of q by sampling
+// trials random neighbor pairs: datasets drawn by gen with one record
+// replaced by another generated record. It is a lower bound on the
+// global sensitivity, the oracle for the hand-derived constants below.
+func empiricalL1Sensitivity(q func(*dataset.Dataset) []float64, gen func(*rng.RNG) *dataset.Dataset, trials int, g *rng.RNG) float64 {
+	var maxDiff float64
+	for t := 0; t < trials; t++ {
+		d := gen(g)
+		if d.Len() == 0 {
+			continue
+		}
+		alt := gen(g)
+		i := g.Intn(d.Len())
+		nb := d.ReplaceOne(i, alt.Examples[g.Intn(alt.Len())])
+		a, b := q(d), q(nb)
+		var diff float64
+		for k := range a {
+			diff += math.Abs(a[k] - b[k])
+		}
+		if diff > maxDiff {
+			maxDiff = diff
+		}
+	}
+	return maxDiff
+}
+
 func TestGuaranteeString(t *testing.T) {
 	if got := (Guarantee{Epsilon: 1}).String(); got != "1-DP" {
 		t.Errorf("String = %q", got)
@@ -39,7 +65,7 @@ func TestCountQuerySensitivityEmpirical(t *testing.T) {
 	gen := func(h *rng.RNG) *dataset.Dataset {
 		return dataset.BernoulliTable{P: 0.5}.Generate(20, h)
 	}
-	emp := EmpiricalL1Sensitivity(q.F, gen, 500, g)
+	emp := empiricalL1Sensitivity(q.F, gen, 500, g)
 	if emp > q.L1Sensitivity+1e-12 {
 		t.Errorf("empirical sensitivity %v exceeds claimed %v", emp, q.L1Sensitivity)
 	}
@@ -70,7 +96,7 @@ func TestBoundedMeanSensitivityEmpirical(t *testing.T) {
 		}
 		return d
 	}
-	emp := EmpiricalL1Sensitivity(q.F, gen, 1000, g)
+	emp := empiricalL1Sensitivity(q.F, gen, 1000, g)
 	if emp > q.L1Sensitivity+1e-12 {
 		t.Errorf("empirical sensitivity %v exceeds claimed %v", emp, q.L1Sensitivity)
 	}
@@ -86,7 +112,7 @@ func TestHistogramQuerySensitivity(t *testing.T) {
 		}
 		return d
 	}
-	emp := EmpiricalL1Sensitivity(q.F, gen, 1000, g)
+	emp := empiricalL1Sensitivity(q.F, gen, 1000, g)
 	if emp > q.L1Sensitivity+1e-12 {
 		t.Errorf("empirical sensitivity %v exceeds claimed %v", emp, q.L1Sensitivity)
 	}
@@ -191,22 +217,21 @@ func TestRandomizedResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mathx.AlmostEqual(m.TruthProbability(), 0.75, 1e-12) {
-		t.Errorf("TruthProbability = %v", m.TruthProbability())
-	}
 	g := rng.New(11)
 	// 30% ones.
 	bits := make([]bool, 50_000)
 	for i := range bits {
 		bits[i] = g.Bernoulli(0.3)
 	}
-	released := m.Release(bits, g)
-	est := m.EstimateProportion(released)
-	if math.Abs(est-0.3) > 0.02 {
-		t.Errorf("debiased estimate = %v, want ≈ 0.3", est)
+	// A released bit is 1 w.p. 0.3·p + 0.7·(1−p) = 0.4.
+	var ones float64
+	for _, b := range m.Release(bits, g) {
+		if b {
+			ones++
+		}
 	}
-	if !math.IsNaN(m.EstimateProportion(nil)) {
-		t.Error("empty estimate should be NaN")
+	if f := ones / float64(len(bits)); math.Abs(f-0.4) > 0.01 {
+		t.Errorf("released frequency of ones = %v, want ≈ 0.4", f)
 	}
 	if _, err := NewRandomizedResponse(0); err != ErrInvalidEpsilon {
 		t.Error("validation")

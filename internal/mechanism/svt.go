@@ -81,9 +81,6 @@ func (s *SparseVector) Query(q func(*dataset.Dataset) float64) (bool, error) {
 	return false, nil
 }
 
-// PositivesRemaining reports how many above-threshold answers are left.
-func (s *SparseVector) PositivesRemaining() int { return s.positivesLeft }
-
 // Guarantee returns the total (ε, 0) guarantee of the interaction.
 func (s *SparseVector) Guarantee() Guarantee { return Guarantee{Epsilon: s.Epsilon} }
 

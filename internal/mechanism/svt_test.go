@@ -34,8 +34,8 @@ func TestSparseVectorBasics(t *testing.T) {
 	if err != nil || !got {
 		t.Errorf("far-above query answered %v, %v", got, err)
 	}
-	if sv.PositivesRemaining() != 1 {
-		t.Errorf("positives remaining = %d", sv.PositivesRemaining())
+	if sv.positivesLeft != 1 {
+		t.Errorf("positives remaining = %d", sv.positivesLeft)
 	}
 	// Second positive consumes the run.
 	if _, err := sv.Query(hi); err != nil {
@@ -63,7 +63,7 @@ func TestSparseVectorManyNegativesFree(t *testing.T) {
 			t.Fatal("query below a huge threshold answered true")
 		}
 	}
-	if sv.PositivesRemaining() != 1 {
+	if sv.positivesLeft != 1 {
 		t.Error("negatives must not consume budget")
 	}
 }

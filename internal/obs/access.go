@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-)
+import "io"
 
 // AccessRecord is one line of the serve layer's access log: the
 // per-request face of the privacy ledger. Where a LedgerRecord accounts
@@ -55,17 +51,15 @@ type accessLine struct {
 // *AccessLog is a valid no-op sink. The log never reads a clock —
 // timestamps arrive in the record, already taken by the caller's
 // Observer — so attaching or detaching an access log cannot perturb a
-// deterministic run's tick stream. Write errors are sticky and reported
-// by Err, mirroring Tracer.
+// deterministic run's tick stream. Lines go out through Tracer.emit, so
+// write errors are sticky and reported by Err, as for a Tracer.
 type AccessLog struct {
-	mu  sync.Mutex
-	w   io.Writer
-	err error
+	out Tracer // only its NDJSON writer is used
 }
 
 // NewAccessLog returns an access log writing NDJSON records to w.
 func NewAccessLog(w io.Writer) *AccessLog {
-	return &AccessLog{w: w}
+	return &AccessLog{out: Tracer{w: w}}
 }
 
 // Record writes one access-log line (nil-safe).
@@ -73,20 +67,7 @@ func (l *AccessLog) Record(r AccessRecord) {
 	if l == nil {
 		return
 	}
-	b, err := json.Marshal(accessLine{Type: "access", AccessRecord: r})
-	b = append(b, '\n')
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return
-	}
-	if err != nil {
-		l.err = err
-		return
-	}
-	if _, err := l.w.Write(b); err != nil {
-		l.err = err
-	}
+	l.out.emit(accessLine{Type: "access", AccessRecord: r})
 }
 
 // Err returns the first write or encoding error the log has hit
@@ -95,7 +76,5 @@ func (l *AccessLog) Err() error {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
+	return l.out.Err()
 }

@@ -134,28 +134,3 @@ func (rep *BenchReport) WriteBenchJSON(w io.Writer) error {
 	}
 	return nil
 }
-
-// MergeBenchReports merges reports from several packages into one,
-// prefixing result names with the package's last path component when
-// packages differ.
-func MergeBenchReports(reps []*BenchReport) *BenchReport {
-	if len(reps) == 1 {
-		return reps[0]
-	}
-	out := &BenchReport{}
-	for _, r := range reps {
-		if out.Goos == "" {
-			out.Goos, out.Goarch, out.CPU = r.Goos, r.Goarch, r.CPU
-		}
-		prefix := ""
-		if r.Package != "" {
-			parts := strings.Split(r.Package, "/")
-			prefix = parts[len(parts)-1] + "."
-		}
-		for _, res := range r.Results {
-			res.Name = prefix + res.Name
-			out.Results = append(out.Results, res)
-		}
-	}
-	return out
-}

@@ -1,10 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -135,49 +131,4 @@ func ComposeBasic(eps, del []float64) (epsilon, delta float64) {
 		sd.Add(x)
 	}
 	return se.Float64(), sd.Float64()
-}
-
-// WriteNDJSON writes the ledger (in sequence order) as NDJSON "ledger"
-// lines — the same shape the Tracer interleaves into a trace stream.
-func (l *Ledger) WriteNDJSON(w io.Writer) error {
-	for _, r := range l.Records() {
-		b, err := json.Marshal(ledgerLine{Type: "ledger", LedgerRecord: r})
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(b, '\n')); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadLedgerNDJSON extracts the ledger records from an NDJSON stream,
-// skipping span and event lines, and returns them sorted by sequence
-// number. Lines that are not valid JSON objects are an error — the
-// ledger is an audit artifact, so a corrupt line must not be dropped
-// silently.
-func ReadLedgerNDJSON(r io.Reader) ([]LedgerRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []LedgerRecord
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var rec ledgerLine
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
-		}
-		if rec.Type == "ledger" {
-			out = append(out, rec.LedgerRecord)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, nil
 }

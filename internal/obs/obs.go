@@ -34,11 +34,11 @@
 package obs
 
 // Observer bundles the three observability sinks that instrumented code
-// needs: a Tracer for spans and typed events, a Registry for metrics,
+// needs: a Tracer for spans and ledger lines, a Registry for metrics,
 // and a Clock for timestamps. Any field may be nil; every method is
 // nil-safe on a nil *Observer too, so call sites never branch.
 type Observer struct {
-	// Tracer receives spans and typed events; nil disables tracing.
+	// Tracer receives spans; nil disables tracing.
 	Tracer *Tracer
 	// Metrics receives counters, gauges, and histograms; nil disables
 	// metric collection.

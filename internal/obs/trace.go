@@ -8,9 +8,8 @@ import (
 )
 
 // Tracer writes a structured trace as NDJSON: one JSON object per line,
-// each carrying a "type" discriminator ("span", "event", or "ledger").
-// Spans form a tree through parent IDs; typed events attach to spans.
-// A nil *Tracer is a valid no-op sink.
+// each carrying a "type" discriminator ("span" or "ledger"). Spans form a
+// tree through parent IDs. A nil *Tracer is a valid no-op sink.
 //
 // Tracer is safe for concurrent use. Records are written when a span
 // ends (not when it starts), so a trace file lists spans in completion
@@ -43,7 +42,9 @@ func (t *Tracer) Err() error {
 	return t.err
 }
 
-// emit marshals one record to a single NDJSON line.
+// emit marshals one record to a single NDJSON line, written under the
+// tracer's lock; the first marshal or write error is kept and every
+// later record is dropped. AccessLog writes through it too.
 func (t *Tracer) emit(rec any) {
 	b, err := json.Marshal(rec)
 	t.mu.Lock()
@@ -64,8 +65,8 @@ func (t *Tracer) emit(rec any) {
 // nil-safe, so instrumented code calls them unconditionally.
 //
 // A span may be "silent": clock but no tracer. Silent spans consume
-// exactly the same clock reads as emitting spans (one at start, one per
-// Event, one at End) but write nothing. They exist for tick parity:
+// exactly the same clock reads as emitting spans (one at start, one at
+// End) but write nothing. They exist for tick parity:
 // logical-clock tick streams — and therefore every duration histogram
 // fed from Observer.Now — are bit-identical whether tracing is wired or
 // not, which is what lets the serve /metrics golden hold with tracing
@@ -95,7 +96,8 @@ type SpanRecord struct {
 	Attrs  map[string]any `json:"attrs,omitempty"`
 }
 
-// EventRecord is the NDJSON shape of a typed event (type "event").
+// EventRecord is the NDJSON shape of a typed event (type "event"), as
+// older traces carry them; readers still decode it.
 type EventRecord struct {
 	Type   string         `json:"type"`
 	Span   uint64         `json:"span,omitempty"`
@@ -187,26 +189,6 @@ func (s *Span) SetAttr(key string, value any) {
 		s.attrs = make(map[string]any)
 	}
 	s.attrs[key] = value
-}
-
-// Event emits a typed event attached to s immediately (nil-safe). On a
-// silent span the clock is still read — tick parity — but nothing is
-// written.
-func (s *Span) Event(kind string, fields map[string]any) {
-	if s == nil {
-		return
-	}
-	ts := s.clock.Now()
-	if s.tracer == nil {
-		return
-	}
-	s.tracer.emit(EventRecord{
-		Type:   "event",
-		Span:   s.id,
-		TS:     ts,
-		Kind:   kind,
-		Fields: fields,
-	})
 }
 
 // End closes the span and writes its record. A second End is a no-op,

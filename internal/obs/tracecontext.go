@@ -6,7 +6,7 @@ import (
 )
 
 // TraceContext is a W3C Trace Context (traceparent) carrier: a 128-bit
-// trace id, the 64-bit id of the caller's span, and the sampled flag.
+// trace id, the 64-bit id of the caller's span, and the trace flags.
 // It is the wire form of request-scoped tracing — clients inject a
 // traceparent header, the serve layer adopts it, and every span, ledger
 // line, and access-log line the request causes carries TraceHi/TraceLo
@@ -23,8 +23,11 @@ type TraceContext struct {
 	// invalid on the wire but tolerated in memory for locally-minted
 	// contexts that have not yet passed through a span.
 	Parent uint64
-	// Sampled is the least-significant trace-flags bit.
-	Sampled bool
+	// Flags is the trace-flags byte, carried through unchanged: bit 0
+	// is "sampled", and later Trace Context levels define more bits
+	// (Level 2: 0x02, "random"), so a conforming client's header
+	// re-renders byte for byte.
+	Flags byte
 }
 
 // Valid reports whether the context carries a usable (non-zero) trace id.
@@ -53,18 +56,14 @@ func (tc TraceContext) Traceparent() string {
 	}
 	var b [8]byte
 	putUint64(b[:], tc.Parent)
-	flags := "00"
-	if tc.Sampled {
-		flags = "01"
-	}
-	return "00-" + tc.TraceID() + "-" + hex.EncodeToString(b[:]) + "-" + flags
+	return "00-" + tc.TraceID() + "-" + hex.EncodeToString(b[:]) + "-" + hex.EncodeToString([]byte{tc.Flags})
 }
 
 // ParseTraceparent parses a W3C traceparent header. It accepts exactly
 // the version-00 fixed layout: 55 bytes, lowercase hex, dash-separated,
 // with a non-zero trace id and a non-zero parent id. Anything else is an
 // error — a malformed header must not silently start a new trace under a
-// half-parsed id.
+// half-parsed id. Every flags byte is accepted and kept whole.
 func ParseTraceparent(s string) (TraceContext, error) {
 	if len(s) != 55 {
 		return TraceContext{}, fmt.Errorf("obs: traceparent: length %d, want 55", len(s))
@@ -97,7 +96,7 @@ func ParseTraceparent(s string) (TraceContext, error) {
 	if err != nil {
 		return TraceContext{}, fmt.Errorf("obs: traceparent: flags: %w", err)
 	}
-	return TraceContext{TraceHi: hi, TraceLo: lo, Parent: parent, Sampled: flags&1 != 0}, nil
+	return TraceContext{TraceHi: hi, TraceLo: lo, Parent: parent, Flags: flags}, nil
 }
 
 // DeriveTraceContext deterministically mints a TraceContext from a
@@ -119,7 +118,7 @@ func DeriveTraceContext(seed int64) TraceContext {
 	if parent == 0 {
 		parent = 1
 	}
-	return TraceContext{TraceHi: hi, TraceLo: lo, Parent: parent, Sampled: true}
+	return TraceContext{TraceHi: hi, TraceLo: lo, Parent: parent, Flags: 1}
 }
 
 // mix64 is the splitmix64 output finalizer (Vigna): a fast, invertible

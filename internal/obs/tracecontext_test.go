@@ -19,8 +19,8 @@ func TestDeriveTraceContextRoundTrip(t *testing.T) {
 		if !tc.Valid() {
 			t.Fatalf("DeriveTraceContext(%d) is invalid: %+v", seed, tc)
 		}
-		if !tc.Sampled {
-			t.Fatalf("DeriveTraceContext(%d) not sampled", seed)
+		if tc.Flags != 1 {
+			t.Fatalf("DeriveTraceContext(%d) flags = %#x, want sampled (0x01)", seed, tc.Flags)
 		}
 		h := tc.Traceparent()
 		if len(h) != 55 || !strings.HasPrefix(h, "00-") || !strings.HasSuffix(h, "-01") {
@@ -91,21 +91,31 @@ func TestParseTraceparentMalformed(t *testing.T) {
 	}
 }
 
-// TestParseTraceparentFlags pins the sampled-bit handling: flag byte 00
-// parses unsampled, 01 sampled, and both round-trip.
+// TestParseTraceparentFlags is the flags round-trip table: every flags
+// byte parses into Flags unchanged (bit 0 is "sampled") and re-renders
+// byte for byte, including bits this package gives no meaning to.
 func TestParseTraceparentFlags(t *testing.T) {
-	tc := DeriveTraceContext(5)
-	tc.Sampled = false
-	h := tc.Traceparent()
-	if !strings.HasSuffix(h, "-00") {
-		t.Fatalf("unsampled header %q should end in -00", h)
+	cases := []struct {
+		in    string
+		flags byte
+	}{
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00", 0x00},
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", 0x01},
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-03", 0x03},
+		{"00-00000000000000010000000000000000-0000001000000000-10", 0x10},
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-ff", 0xff},
 	}
-	got, err := ParseTraceparent(h)
-	if err != nil {
-		t.Fatalf("ParseTraceparent(%q): %v", h, err)
-	}
-	if got.Sampled {
-		t.Fatalf("flags 00 parsed as sampled")
+	for _, c := range cases {
+		got, err := ParseTraceparent(c.in)
+		if err != nil {
+			t.Fatalf("ParseTraceparent(%q): %v", c.in, err)
+		}
+		if got.Flags != c.flags {
+			t.Errorf("ParseTraceparent(%q).Flags = %#x, want %#x", c.in, got.Flags, c.flags)
+		}
+		if h := got.Traceparent(); h != c.in {
+			t.Errorf("%q re-rendered as %q", c.in, h)
+		}
 	}
 }
 
@@ -134,6 +144,7 @@ func FuzzTraceparent(f *testing.F) {
 	f.Add("")
 	f.Add("00-00000000000000000000000000000000-0000000000000000-00")
 	f.Add(strings.Repeat("0", 55))
+	f.Add("00-00000000000000010000000000000000-0000001000000000-10")
 	f.Fuzz(func(t *testing.T, s string) {
 		tc, err := ParseTraceparent(s)
 		if err != nil {

@@ -30,9 +30,10 @@ func (d *TraceData) Merge(other TraceData) {
 
 // ReadTraceNDJSON decodes an observability NDJSON stream, dispatching on
 // each line's "type" discriminator. Unknown types are skipped (forward
-// compatibility, matching ReadLedgerNDJSON), but lines that are not
-// valid JSON objects are an error — these are audit artifacts, so a
-// corrupt line must not be dropped silently.
+// compatibility), but lines that are not valid JSON objects are an
+// error — these are audit artifacts, so a corrupt line must not be
+// dropped silently. "event" lines, which current tracers no longer
+// write, are still decoded, so older trace files read as before.
 func ReadTraceNDJSON(r io.Reader) (TraceData, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)

@@ -21,11 +21,11 @@ func TestLedgerRecordBackCompat(t *testing.T) {
 	if string(b) != want {
 		t.Fatalf("trace-less ledger line changed shape:\n got %s\nwant %s", b, want)
 	}
-	got, err := ReadLedgerNDJSON(strings.NewReader(want + "\n"))
+	data, err := ReadTraceNDJSON(strings.NewReader(want + "\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0] != rec {
+	if got := data.Ledger; len(got) != 1 || got[0] != rec {
 		t.Fatalf("round trip: got %+v, want %+v", got, rec)
 	}
 }
@@ -41,11 +41,11 @@ func TestLedgerRecordTraceStamped(t *testing.T) {
 	if !strings.Contains(string(b), `"trace":"`+rec.Trace+`"`) {
 		t.Fatalf("stamped record lost its trace id: %s", b)
 	}
-	got, err := ReadLedgerNDJSON(bytes.NewReader(append(b, '\n')))
+	data, err := ReadTraceNDJSON(bytes.NewReader(append(b, '\n')))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Trace != rec.Trace {
+	if got := data.Ledger; len(got) != 1 || got[0].Trace != rec.Trace {
 		t.Fatalf("round trip: got %+v", got)
 	}
 }
@@ -137,7 +137,6 @@ func TestSilentSpanTickParity(t *testing.T) {
 	walk := func(o *Observer) int64 {
 		sp := o.RequestSpan("req", DeriveTraceContext(1))
 		c := sp.Child("inner")
-		c.Event("phase", nil)
 		c.End()
 		sp.End()
 		return o.Now()

@@ -118,37 +118,34 @@ func Start(f Flags) (*Runtime, error) {
 	return rt, nil
 }
 
-// Sink returns the accountant observer that forwards every spend into
-// the runtime's ledger (wire it with Accountant.SetObserver). The
-// accountant invokes it under its own lock, which makes the copied Seq
+// RecordSpend is the accountant→ledger bridge: it copies one spend into
+// l. Call it from the observer wired with Accountant.SetObserver; the
+// accountant invokes that under its own lock, which makes the copied Seq
 // the spend's true arrival position.
-func (rt *Runtime) Sink() mechanism.SpendObserver {
-	l := rt.Ledger
-	return func(r mechanism.SpendRecord) {
-		l.Record(obs.LedgerRecord{
-			Seq:         r.Seq,
-			Mechanism:   r.Meta.Mechanism,
-			Sensitivity: r.Meta.Sensitivity,
-			Epsilon:     r.Guarantee.Epsilon,
-			Delta:       r.Guarantee.Delta,
-			Outcomes:    r.Meta.Outcomes,
-			Duration:    r.Meta.Duration,
-			Span:        r.Meta.Span,
-			Trace:       r.Meta.Trace,
-		})
-	}
+func RecordSpend(l *obs.Ledger, r mechanism.SpendRecord) {
+	l.Record(obs.LedgerRecord{
+		Seq:         r.Seq,
+		Mechanism:   r.Meta.Mechanism,
+		Sensitivity: r.Meta.Sensitivity,
+		Epsilon:     r.Guarantee.Epsilon,
+		Delta:       r.Guarantee.Delta,
+		Outcomes:    r.Meta.Outcomes,
+		Duration:    r.Meta.Duration,
+		Span:        r.Meta.Span,
+		Trace:       r.Meta.Trace,
+	})
 }
 
-// CrossCheck verifies the ledger against the accountant it observed:
-// the record counts must match and the composed (ε, δ) must agree
+// CrossCheck verifies ledger l against the accountant it observed: the
+// record counts must match and the composed (ε, δ) must agree
 // bit-for-bit (both sides round the exact sum of the spend multiset
 // with mathx.ExactSum). A mismatch means a release escaped the ledger —
 // the dynamic analogue of an acctlint finding.
-func (rt *Runtime) CrossCheck(acct *mechanism.Accountant) error {
-	if got, want := rt.Ledger.Len(), acct.Count(); got != want {
+func CrossCheck(l *obs.Ledger, acct *mechanism.Accountant) error {
+	if got, want := l.Len(), acct.Count(); got != want {
 		return fmt.Errorf("obsglue: ledger has %d record(s), accountant spent %d", got, want)
 	}
-	le, ld := rt.Ledger.Composed()
+	le, ld := l.Composed()
 	g := acct.BasicComposition()
 	//dplint:ignore floateq bit-exact agreement between ledger and accountant is the property under test
 	if le != g.Epsilon || ld != g.Delta {

@@ -49,13 +49,13 @@ func TestRuntimeEndToEnd(t *testing.T) {
 	}
 
 	var acct mechanism.Accountant
-	acct.SetObserver(rt.Sink())
+	acct.SetObserver(func(r mechanism.SpendRecord) { RecordSpend(rt.Ledger, r) })
 	acct.SpendDetail(mechanism.Guarantee{Epsilon: 0.5}, mechanism.SpendMeta{Mechanism: "laplace", Sensitivity: 2, Outcomes: 16})
 	acct.SpendDetail(mechanism.Guarantee{Epsilon: 0.25, Delta: 1e-9}, mechanism.SpendMeta{Mechanism: "gaussian", Sensitivity: 0.1})
 	sp := rt.Obs.Span("fit")
 	sp.End()
 
-	if err := rt.CrossCheck(&acct); err != nil {
+	if err := CrossCheck(rt.Ledger, &acct); err != nil {
 		t.Fatalf("cross-check failed on a consistent run: %v", err)
 	}
 
@@ -74,10 +74,11 @@ func TestRuntimeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	recs, err := obs.ReadLedgerNDJSON(f)
+	data, err := obs.ReadTraceNDJSON(f)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs := data.Ledger
 	if len(recs) != 2 {
 		t.Fatalf("trace file carries %d ledger records, want 2", len(recs))
 	}
@@ -110,13 +111,13 @@ func TestCrossCheckDetectsEscapedRelease(t *testing.T) {
 		}
 	}()
 	var acct mechanism.Accountant
-	acct.SetObserver(rt.Sink())
+	acct.SetObserver(func(r mechanism.SpendRecord) { RecordSpend(rt.Ledger, r) })
 	acct.Spend(mechanism.Guarantee{Epsilon: 0.5})
 	// A second accountant spends without the ledger seeing it.
 	var rogue mechanism.Accountant
 	rogue.Spend(mechanism.Guarantee{Epsilon: 0.5})
 	rogue.Spend(mechanism.Guarantee{Epsilon: 0.5})
-	if err := rt.CrossCheck(&rogue); err == nil {
+	if err := CrossCheck(rt.Ledger, &rogue); err == nil {
 		t.Fatal("cross-check should fail when counts differ")
 	}
 }

@@ -60,7 +60,7 @@ func BenchmarkForGrainOverhead(b *testing.B) {
 			// One slot per chunk keeps the body race-free without atomics
 			// polluting the overhead measurement.
 			slots := make([]int64, numChunksGrain(benchN, minChunk))
-			size := ChunkSize(benchN)
+			size := chunkSizeGrain(benchN, minChunk)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ForGrain(benchN, minChunk, opts, func(lo, hi int) {

@@ -87,16 +87,11 @@ func runChunk(sp *obs.Span, worker, lo, hi int, body func(lo, hi int)) (werr *Wo
 	return nil
 }
 
-// ForCtx is For with cancellation and panic isolation: it returns a
-// wrapped ctx.Err() if the context ends at a chunk-claim boundary, or a
-// *WorkerError if body panics. A nil error means every chunk completed.
-func ForCtx(ctx context.Context, n int, opts Options, body func(lo, hi int)) error {
-	return ForGrainCtx(ctx, n, minChunk, opts, body)
-}
-
-// ForGrainCtx is ForCtx with an explicit grain (see ForGrain). The chunk
-// geometry is identical to the non-Ctx helpers, so a run that completes
-// is bit-identical to one executed without a context.
+// ForGrainCtx is ForGrain with cancellation and panic isolation: it
+// returns a wrapped ctx.Err() if the context ends at a chunk-claim
+// boundary, or a *WorkerError if body panics. A nil error means every
+// chunk completed. The plain helpers run through it, so a run that
+// completes is bit-identical to one executed without a context.
 func ForGrainCtx(ctx context.Context, n, grain int, opts Options, body func(lo, hi int)) error {
 	if n <= 0 {
 		return nil
@@ -170,13 +165,8 @@ func ForGrainCtx(ctx context.Context, n, grain int, opts Options, body func(lo, 
 	return nil
 }
 
-// MapCtx is Map with cancellation and panic isolation. On error the
-// partially-filled slice is discarded.
-func MapCtx(ctx context.Context, n int, opts Options, f func(i int) float64) ([]float64, error) {
-	return MapGrainCtx(ctx, n, minChunk, opts, f)
-}
-
-// MapGrainCtx is MapCtx with an explicit grain (see ForGrain).
+// MapGrainCtx is MapGrain with cancellation and panic isolation. On
+// error the partially-filled slice is discarded.
 func MapGrainCtx(ctx context.Context, n, grain int, opts Options, f func(i int) float64) ([]float64, error) {
 	out := make([]float64, n)
 	if err := ForGrainCtx(ctx, n, grain, opts, func(lo, hi int) {
@@ -189,14 +179,9 @@ func MapGrainCtx(ctx context.Context, n, grain int, opts Options, f func(i int) 
 	return out, nil
 }
 
-// SumCtx is Sum with cancellation and panic isolation: the ordered
-// chunked Kahan reduction is unchanged, so a completed SumCtx is
-// bit-identical to Sum for every worker count.
-func SumCtx(ctx context.Context, n int, opts Options, term func(i int) float64) (float64, error) {
-	return SumGrainCtx(ctx, n, minChunk, opts, term)
-}
-
-// SumGrainCtx is SumCtx with an explicit grain (see SumGrain).
+// SumGrainCtx is SumGrain with cancellation and panic isolation: the
+// ordered chunked Kahan reduction is the same, so a completed run is
+// bit-identical for every worker count.
 func SumGrainCtx(ctx context.Context, n, grain int, opts Options, term func(i int) float64) (float64, error) {
 	if n <= 0 {
 		return 0, nil

@@ -16,20 +16,20 @@ func TestForCtxCompletesLikeFor(t *testing.T) {
 	term := func(i int) float64 { return math.Sin(float64(i)) / (1 + float64(i)) }
 	want := Sum(n, Options{Workers: 1}, term)
 	for _, workers := range []int{1, 2, 7} {
-		got, err := SumCtx(context.Background(), n, Options{Workers: workers}, term)
+		got, err := SumGrainCtx(context.Background(), n, minChunk, Options{Workers: workers}, term)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("workers=%d: SumCtx %v != Sum %v", workers, got, want)
+			t.Errorf("workers=%d: SumGrainCtx %v != Sum %v", workers, got, want)
 		}
-		m, err := MapCtx(context.Background(), n, Options{Workers: workers}, term)
+		m, err := MapGrainCtx(context.Background(), n, minChunk, Options{Workers: workers}, term)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := range m {
 			if math.Float64bits(m[i]) != math.Float64bits(term(i)) {
-				t.Fatalf("workers=%d: MapCtx slot %d differs", workers, i)
+				t.Fatalf("workers=%d: MapGrainCtx slot %d differs", workers, i)
 			}
 		}
 	}
@@ -42,7 +42,7 @@ func TestForCtxPreCanceled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForCtx(ctx, 1_000_000, Options{Workers: workers}, func(lo, hi int) {
+		err := ForGrainCtx(ctx, 1_000_000, minChunk, Options{Workers: workers}, func(lo, hi int) {
 			ran.Add(1)
 		})
 		if !errors.Is(err, context.Canceled) {

@@ -10,8 +10,8 @@
 // goroutine scheduling. Three rules enforce this:
 //
 //  1. Fixed chunk geometry. Index ranges are cut into chunks whose
-//     boundaries are a pure function of the problem size n (see
-//     ChunkSize), NOT of the worker count. Workers claim chunks from a
+//     boundaries are a pure function of the problem size n and the
+//     call site's grain, NOT of the worker count. Workers claim chunks from a
 //     shared counter, so scheduling varies, but which indices share a
 //     chunk never does.
 //  2. Ordered reduction. Reductions (Sum, MaxAbs) accumulate one
@@ -26,7 +26,7 @@
 //     root) pins this invariant for Fit, Certify, and the channel
 //     leakage account.
 //
-// Element-wise maps (For filling out[i] = f(i)) are deterministic under
+// Element-wise maps (Map filling out[i] = f(i)) are deterministic under
 // any partition because each slot is written exactly once; they still use
 // the fixed chunk geometry so the cost model is uniform.
 package parallel
@@ -36,7 +36,6 @@ import (
 	"runtime"
 	"strconv"
 
-	"repro/internal/mathx"
 	"repro/internal/obs"
 )
 
@@ -87,18 +86,12 @@ const minChunk = 256
 // stay small for huge n.
 const maxChunks = 1024
 
-// ChunkSize returns the deterministic chunk size for a problem of size
-// n. It is a pure function of n only — never of the worker count — which
-// is what makes chunk-local reductions reproducible across Workers
-// settings.
-func ChunkSize(n int) int {
-	return chunkSizeGrain(n, minChunk)
-}
-
-// chunkSizeGrain is ChunkSize with an explicit minimum chunk length. The
-// grain is a property of the call site (how expensive one index is), so
-// it stays a compile-time constant there — the geometry remains a pure
-// function of (n, grain).
+// chunkSizeGrain returns the deterministic chunk size for a problem of
+// size n with minimum chunk length grain. It is a pure function of
+// (n, grain) — never of the worker count — which is what makes
+// chunk-local reductions reproducible across Workers settings. The grain
+// is a property of the call site (how expensive one index is), so it
+// stays a compile-time constant there.
 func chunkSizeGrain(n, grain int) int {
 	if grain < 1 {
 		grain = 1
@@ -123,19 +116,14 @@ func numChunksGrain(n, grain int) int {
 	return (n + size - 1) / size
 }
 
-// For runs body(lo, hi) over consecutive chunks covering [0, n), fanning
-// the chunks out across the resolved worker count. body must treat
-// distinct index ranges independently (no shared mutable state beyond
-// disjoint slice slots); under that contract the result is identical for
-// every worker count. For blocks until all chunks complete.
-func For(n int, opts Options, body func(lo, hi int)) {
-	ForGrain(n, minChunk, opts, body)
-}
-
-// ForGrain is For with an explicit grain: the minimum number of indices
-// per chunk. Use a small grain (e.g. 8) when one index is expensive —
-// a full empirical-risk evaluation, a whole posterior row — and the
-// default For when indices are cheap arithmetic.
+// ForGrain runs body(lo, hi) over consecutive chunks covering [0, n),
+// fanning the chunks out across the resolved worker count. body must
+// treat distinct index ranges independently (no shared mutable state
+// beyond disjoint slice slots); under that contract the result is
+// identical for every worker count. ForGrain blocks until all chunks
+// complete. grain is the minimum number of indices per chunk: use a
+// small grain (e.g. 8) when one index is expensive — a full
+// empirical-risk evaluation, a whole posterior row.
 //
 // A panic inside body no longer crashes the process from a worker
 // goroutine: it is recovered into a structured *WorkerError (worker
@@ -183,14 +171,13 @@ func Map(n int, opts Options, f func(i int) float64) []float64 {
 	return MapGrain(n, minChunk, opts, f)
 }
 
-// MapGrain is Map with an explicit grain (see ForGrain).
+// MapGrain is Map with an explicit grain (see ForGrain). A panic in f
+// is re-panicked on the caller as a *WorkerError.
 func MapGrain(n, grain int, opts Options, f func(i int) float64) []float64 {
-	out := make([]float64, n)
-	ForGrain(n, grain, opts, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = f(i)
-		}
-	})
+	out, err := MapGrainCtx(context.Background(), n, grain, opts, f)
+	if err != nil {
+		panic(err)
+	}
 	return out
 }
 
@@ -205,26 +192,14 @@ func Sum(n int, opts Options, term func(i int) float64) float64 {
 
 // SumGrain is Sum with an explicit grain (see ForGrain). The grain is
 // part of the fixed chunk geometry, so a call site always reduces in the
-// same order regardless of worker count.
+// same order regardless of worker count. A panic in term is re-panicked
+// on the caller as a *WorkerError.
 func SumGrain(n, grain int, opts Options, term func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
+	s, err := SumGrainCtx(context.Background(), n, grain, opts, term)
+	if err != nil {
+		panic(err)
 	}
-	size := chunkSizeGrain(n, grain)
-	chunks := numChunksGrain(n, grain)
-	partials := make([]float64, chunks)
-	ForGrain(n, grain, opts, func(lo, hi int) {
-		var k mathx.KahanSum
-		for i := lo; i < hi; i++ {
-			k.Add(term(i))
-		}
-		partials[lo/size] = k.Sum()
-	})
-	var total mathx.KahanSum
-	for _, p := range partials {
-		total.Add(p)
-	}
-	return total.Sum()
+	return s
 }
 
 // MaxAbs returns max_i |term(i)| over [0, n), reduced per chunk and then
@@ -235,10 +210,10 @@ func MaxAbs(n int, opts Options, term func(i int) float64) float64 {
 	if n <= 0 {
 		return 0
 	}
-	size := ChunkSize(n)
+	size := chunkSizeGrain(n, minChunk)
 	chunks := numChunksGrain(n, minChunk)
 	partials := make([]float64, chunks)
-	For(n, opts, func(lo, hi int) {
+	ForGrain(n, minChunk, opts, func(lo, hi int) {
 		var m float64
 		for i := lo; i < hi; i++ {
 			v := term(i)

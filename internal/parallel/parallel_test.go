@@ -35,14 +35,14 @@ func TestResolve(t *testing.T) {
 func TestChunkSizeDependsOnlyOnN(t *testing.T) {
 	// Pure function of n: small n is one chunk, large n is capped at
 	// maxChunks chunks.
-	if got := ChunkSize(10); got != 10 {
-		t.Errorf("ChunkSize(10) = %d", got)
+	if got := chunkSizeGrain(10, minChunk); got != 10 {
+		t.Errorf("chunkSizeGrain(10, minChunk) = %d", got)
 	}
-	if got := ChunkSize(minChunk); got != minChunk {
-		t.Errorf("ChunkSize(%d) = %d", minChunk, got)
+	if got := chunkSizeGrain(minChunk, minChunk); got != minChunk {
+		t.Errorf("chunkSizeGrain(%d) = %d", minChunk, got)
 	}
-	if got := ChunkSize(100 * minChunk); got != minChunk {
-		t.Errorf("ChunkSize(large) = %d, want %d", got, minChunk)
+	if got := chunkSizeGrain(100*minChunk, minChunk); got != minChunk {
+		t.Errorf("chunkSizeGrain(large) = %d, want %d", got, minChunk)
 	}
 	huge := 10 * maxChunks * minChunk
 	if nc := numChunksGrain(huge, minChunk); nc > maxChunks {
@@ -54,7 +54,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, w := range workerCounts() {
 		for _, n := range []int{0, 1, 255, 256, 257, 1000, 5000} {
 			hits := make([]int32, n)
-			For(n, Options{Workers: w}, func(lo, hi int) {
+			ForGrain(n, minChunk, Options{Workers: w}, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}

@@ -48,9 +48,6 @@ func (g *RNG) SplitSeed() int64 {
 	return g.r.Int63()
 }
 
-// Int63n returns a uniform integer in [0, n). It panics if n <= 0.
-func (g *RNG) Int63n(n int64) int64 { return g.r.Int63n(n) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
@@ -123,10 +120,6 @@ func (g *RNG) geometric(p float64) int64 {
 	u := g.r.Float64()
 	return int64(math.Floor(math.Log1p(-u) / math.Log1p(-p)))
 }
-
-// Geometric returns k >= 0 with P(k) = p(1-p)^k, the number of failures
-// before the first success.
-func (g *RNG) Geometric(p float64) int64 { return g.geometric(p) }
 
 // Gamma returns a gamma variate with the given shape and scale
 // (mean shape·scale) using the Marsaglia–Tsang squeeze method, with the
@@ -305,6 +298,3 @@ func (a *Alias) Sample(g *RNG) int {
 	}
 	return a.alias[i]
 }
-
-// N returns the number of categories in the table.
-func (a *Alias) N() int { return len(a.prob) }

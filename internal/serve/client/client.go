@@ -24,7 +24,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -139,23 +138,15 @@ func New(cfg Config) *Client {
 	return &Client{cfg: cfg, g: rng.New(cfg.Seed)}
 }
 
-// Post sends one logical JSON request to path (e.g. "/v1/fit"),
-// retrying per the policy above. idemKey, when non-empty, is sent as
-// the Idempotency-Key header and unlocks retries of 5xx and transport
-// failures. The returned Result holds the final status and body;
-// err is non-nil only when no response settled (deadline, breaker,
-// attempts exhausted on transport errors).
-func (c *Client) Post(ctx context.Context, path string, payload any, idemKey string) (*Result, error) {
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return nil, fmt.Errorf("client: marshal: %w", err)
-	}
-	return c.PostRaw(ctx, path, body, idemKey, nil)
-}
-
-// PostRaw is Post for a pre-marshaled body, with optional extra headers
-// (e.g. a traceparent) set on every attempt. Load generators use it to
-// keep their pre-generated request streams byte-identical across runs.
+// PostRaw sends one logical request with a pre-marshaled JSON body to
+// path (e.g. "/v1/fit"), retrying per the policy above, with optional
+// extra headers (e.g. a traceparent) set on every attempt. idemKey, when
+// non-empty, is sent as the Idempotency-Key header and unlocks retries
+// of 5xx and transport failures. The returned Result holds the final
+// status and body; err is non-nil only when no response settled
+// (deadline, breaker, attempts exhausted on transport errors). Load
+// generators pass pre-generated bodies, so their request streams stay
+// byte-identical across runs.
 func (c *Client) PostRaw(ctx context.Context, path string, body []byte, idemKey string, header http.Header) (*Result, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.Deadline)
 	defer cancel()

@@ -35,9 +35,9 @@ func TestRetriesRefusalsThenSucceeds(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := New(testCfg(srv.URL))
-	res, err := c.Post(context.Background(), "/v1/fit", map[string]any{"tenant": "a"}, "")
+	res, err := c.PostRaw(context.Background(), "/v1/fit", []byte(`{"tenant":"a"}`), "", nil)
 	if err != nil {
-		t.Fatalf("Post: %v", err)
+		t.Fatalf("PostRaw: %v", err)
 	}
 	if res.Status != 200 || res.Attempts != 3 || res.Retries() != 2 {
 		t.Fatalf("res=%+v, want 200 after 3 attempts", res)
@@ -56,9 +56,9 @@ func TestNo5xxRetryWithoutKey(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := New(testCfg(srv.URL))
-	res, err := c.Post(context.Background(), "/v1/fit", nil, "")
+	res, err := c.PostRaw(context.Background(), "/v1/fit", nil, "", nil)
 	if err != nil {
-		t.Fatalf("Post: %v", err)
+		t.Fatalf("PostRaw: %v", err)
 	}
 	if res.Status != 500 || res.Attempts != 1 {
 		t.Fatalf("res=%+v, want one un-retried 500 (keyless 5xx retry risks a double charge)", res)
@@ -83,9 +83,9 @@ func TestRetries5xxWithKey(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := New(testCfg(srv.URL))
-	res, err := c.Post(context.Background(), "/v1/fit", nil, "k1")
+	res, err := c.PostRaw(context.Background(), "/v1/fit", nil, "k1", nil)
 	if err != nil {
-		t.Fatalf("Post: %v", err)
+		t.Fatalf("PostRaw: %v", err)
 	}
 	if res.Status != 200 || res.Attempts != 2 || !res.Replayed {
 		t.Fatalf("res=%+v, want a replayed 200 on attempt 2", res)
@@ -102,14 +102,14 @@ func TestBreakerOpensOnConsecutive5xx(t *testing.T) {
 	cfg.BreakerCooldown = time.Minute
 	c := New(cfg)
 	// Keyed requests retry 5xx, so one Post burns through the threshold.
-	if _, err := c.Post(context.Background(), "/v1/fit", nil, "k"); err != nil &&
+	if _, err := c.PostRaw(context.Background(), "/v1/fit", nil, "k", nil); err != nil &&
 		!errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("first post: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		c.Post(context.Background(), "/v1/fit", nil, "k")
+		c.PostRaw(context.Background(), "/v1/fit", nil, "k", nil)
 	}
-	_, err := c.Post(context.Background(), "/v1/fit", nil, "k")
+	_, err := c.PostRaw(context.Background(), "/v1/fit", nil, "k", nil)
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("err=%v, want ErrCircuitOpen", err)
 	}
@@ -130,13 +130,13 @@ func TestBreakerHalfOpensAfterCooldown(t *testing.T) {
 	cfg.BreakerThreshold = 2
 	cfg.BreakerCooldown = 10 * time.Millisecond
 	c := New(cfg)
-	c.Post(context.Background(), "/v1/fit", nil, "k") // opens the breaker
-	if _, err := c.Post(context.Background(), "/v1/fit", nil, "k"); !errors.Is(err, ErrCircuitOpen) {
+	c.PostRaw(context.Background(), "/v1/fit", nil, "k", nil) // opens the breaker
+	if _, err := c.PostRaw(context.Background(), "/v1/fit", nil, "k", nil); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("breaker did not open: %v", err)
 	}
 	fail.Store(false)
 	time.Sleep(15 * time.Millisecond)
-	res, err := c.Post(context.Background(), "/v1/fit", nil, "k")
+	res, err := c.PostRaw(context.Background(), "/v1/fit", nil, "k", nil)
 	if err != nil || res.Status != 200 {
 		t.Fatalf("half-open probe failed: res=%+v err=%v", res, err)
 	}
@@ -155,7 +155,7 @@ func TestDeadline(t *testing.T) {
 	cfg.Deadline = 20 * time.Millisecond
 	c := New(cfg)
 	start := time.Now()
-	_, err := c.Post(context.Background(), "/v1/fit", nil, "")
+	_, err := c.PostRaw(context.Background(), "/v1/fit", nil, "", nil)
 	if err == nil {
 		t.Fatal("want deadline error")
 	}

@@ -49,8 +49,8 @@ func TestGracefulDrain(t *testing.T) {
 	}
 
 	s.BeginDrain()
-	if !s.Draining() {
-		t.Fatal("Draining() false after BeginDrain")
+	if !s.draining.Load() {
+		t.Fatal("draining false after BeginDrain")
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/fit", FitRequest{Tenant: "solo", Seed: 2, Data: data})
 	if resp.StatusCode != http.StatusServiceUnavailable {

@@ -175,9 +175,6 @@ func (s *Server) BeginDrain() {
 	}
 }
 
-// Draining reports whether BeginDrain has run.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // routes assembles the mux.
 func (s *Server) routes() {
 	mux := http.NewServeMux()

@@ -75,7 +75,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 }
 
 // checkBooks audits one tenant end to end: ledger-vs-accountant
-// cross-check, an NDJSON round-trip recomposing bit-identically, and no
+// cross-check, the ledger's records recomposing bit-identically, and no
 // leaked reservations.
 func checkBooks(t *testing.T, tn *Tenant) {
 	t.Helper()
@@ -85,16 +85,9 @@ func checkBooks(t *testing.T, tn *Tenant) {
 	if r := tn.Acct.Reserved(); r != 0 {
 		t.Errorf("tenant %s leaked %d reservation(s)", tn.ID, r)
 	}
-	var buf bytes.Buffer
-	if err := tn.Ledger.WriteNDJSON(&buf); err != nil {
-		t.Fatalf("WriteNDJSON: %v", err)
-	}
-	recs, err := obs.ReadLedgerNDJSON(&buf)
-	if err != nil {
-		t.Fatalf("ReadLedgerNDJSON: %v", err)
-	}
+	recs := tn.Ledger.Records()
 	if len(recs) != tn.Acct.Count() {
-		t.Fatalf("tenant %s: NDJSON has %d record(s), accountant spent %d", tn.ID, len(recs), tn.Acct.Count())
+		t.Fatalf("tenant %s: ledger has %d record(s), accountant spent %d", tn.ID, len(recs), tn.Acct.Count())
 	}
 	eps := make([]float64, len(recs))
 	del := make([]float64, len(recs))
@@ -103,9 +96,9 @@ func checkBooks(t *testing.T, tn *Tenant) {
 	}
 	ce, cd := obs.ComposeBasic(eps, del)
 	g := tn.Acct.BasicComposition()
-	//dplint:ignore floateq bit-exact NDJSON-roundtrip-vs-accountant agreement is the audited property
+	//dplint:ignore floateq bit-exact ledger-vs-accountant agreement is the audited property
 	if ce != g.Epsilon || cd != g.Delta {
-		t.Errorf("tenant %s: NDJSON composes to (%.17g, %.17g), accountant to (%.17g, %.17g)",
+		t.Errorf("tenant %s: ledger composes to (%.17g, %.17g), accountant to (%.17g, %.17g)",
 			tn.ID, ce, cd, g.Epsilon, g.Delta)
 	}
 }

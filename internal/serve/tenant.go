@@ -11,6 +11,7 @@ import (
 	"repro/internal/learn"
 	"repro/internal/mechanism"
 	"repro/internal/obs"
+	"repro/internal/obsglue"
 	"repro/internal/wal"
 )
 
@@ -61,21 +62,12 @@ func (t *Tenant) Budget() mechanism.Guarantee {
 	return g
 }
 
-// CrossCheck verifies the tenant's ledger against its accountant: the
-// record counts must match and the composed (ε, δ) must agree
-// bit-for-bit (both sides round the exact sum of the spend multiset
-// with mathx.ExactSum). A mismatch means a release escaped the books —
-// the service must never pass its audit with one.
+// CrossCheck verifies the tenant's ledger against its accountant with
+// obsglue.CrossCheck. A mismatch means a release escaped the books — the
+// service must never pass its audit with one.
 func (t *Tenant) CrossCheck() error {
-	if got, want := t.Ledger.Len(), t.Acct.Count(); got != want {
-		return fmt.Errorf("serve: tenant %s ledger has %d record(s), accountant spent %d", t.ID, got, want)
-	}
-	le, ld := t.Ledger.Composed()
-	g := t.Acct.BasicComposition()
-	//dplint:ignore floateq bit-exact ledger-vs-accountant agreement is the audited property
-	if le != g.Epsilon || ld != g.Delta {
-		return fmt.Errorf("serve: tenant %s ledger composes to (%.17g, %.17g), accountant to (%.17g, %.17g)",
-			t.ID, le, ld, g.Epsilon, g.Delta)
+	if err := obsglue.CrossCheck(t.Ledger, t.Acct); err != nil {
+		return fmt.Errorf("serve: tenant %s: %w", t.ID, err)
 	}
 	return nil
 }
@@ -263,17 +255,7 @@ func newTenant(cfg TenantConfig, sp LearnerSpec, o *obs.Observer, workers int) (
 		// more. The trace id stamped on the spend joins the ledger line
 		// to the request span tree; the request's own record of what it
 		// spent is its charge scope, which the accountant fills itself.
-		ledger.Record(obs.LedgerRecord{
-			Seq:         r.Seq,
-			Mechanism:   r.Meta.Mechanism,
-			Sensitivity: r.Meta.Sensitivity,
-			Epsilon:     r.Guarantee.Epsilon,
-			Delta:       r.Guarantee.Delta,
-			Outcomes:    r.Meta.Outcomes,
-			Duration:    r.Meta.Duration,
-			Span:        r.Meta.Span,
-			Trace:       r.Meta.Trace,
-		})
+		obsglue.RecordSpend(ledger, r)
 		releases.Inc()
 	})
 	grid := learn.NewGrid(-sp.Box, sp.Box, sp.Dim, sp.GridPoints)

@@ -39,14 +39,6 @@ func Variance(xs []float64) float64 {
 	return w.Variance()
 }
 
-// StdDev returns the square root of the unbiased sample variance.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// StandardError returns StdDev(xs)/sqrt(n), the standard error of the mean.
-func StandardError(xs []float64) float64 {
-	return StdDev(xs) / math.Sqrt(float64(len(xs)))
-}
-
 // Quantile returns the p-quantile of xs (0 <= p <= 1) using linear
 // interpolation between order statistics (type-7, the R/NumPy default).
 // It panics on an empty sample or p outside [0, 1]. xs is not modified.
@@ -77,9 +69,6 @@ func quantileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 0.5-quantile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
 // ECDF is the empirical cumulative distribution function of a sample.
 type ECDF struct {
 	sorted []float64
@@ -104,17 +93,6 @@ func (e *ECDF) At(x float64) float64 {
 		idx++
 	}
 	return float64(idx) / float64(len(e.sorted))
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Quantile returns the p-quantile of the underlying sample.
-func (e *ECDF) Quantile(p float64) float64 {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		panic("stats: ECDF.Quantile p outside [0,1]")
-	}
-	return quantileSorted(e.sorted, p)
 }
 
 // KSStatistic returns the two-sample Kolmogorov–Smirnov statistic
@@ -189,18 +167,8 @@ func (h *Histogram) Add(x float64) {
 	h.total++
 }
 
-// AddAll records all observations in xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
 // Total returns the number of recorded observations.
 func (h *Histogram) Total() float64 { return h.total }
-
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.Counts) }
 
 // BinWidth returns the common bin width.
 func (h *Histogram) BinWidth() float64 { return (h.Hi - h.Lo) / float64(len(h.Counts)) }
@@ -249,7 +217,7 @@ func FreedmanDiaconisBins(xs []float64, maxBins int) int {
 		return 1
 	}
 	iqr := Quantile(xs, 0.75) - Quantile(xs, 0.25)
-	lo, hi := mathx.MinMax(xs)
+	lo, hi := xs[mathx.ArgMin(xs)], xs[mathx.ArgMax(xs)]
 	span := hi - lo
 	if span <= 0 {
 		return 1
@@ -322,15 +290,9 @@ func Summarize(xs []float64) (Summary, error) {
 		Mean: Mean(s),
 	}
 	if len(s) >= 2 {
-		sum.StdDev = StdDev(s)
+		sum.StdDev = math.Sqrt(Variance(s))
 	} else {
 		sum.StdDev = math.NaN()
 	}
 	return sum, nil
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.4g q1=%.4g med=%.4g q3=%.4g max=%.4g mean=%.4g sd=%.4g",
-		s.N, s.Min, s.Q1, s.Med, s.Q3, s.Max, s.Mean, s.StdDev)
 }

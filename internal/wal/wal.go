@@ -128,7 +128,6 @@ func Fingerprint(body []byte) string {
 type Log struct {
 	mu     sync.Mutex
 	f      *os.File
-	path   string
 	lsn    uint64
 	frozen bool
 
@@ -148,7 +147,7 @@ func Open(path string) (*Log, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	l := &Log{f: f, path: path}
+	l := &Log{f: f}
 	var recs []Record
 	err = checkpoint.ScanRepair(f, func(line []byte) {
 		var rec Record
@@ -169,14 +168,6 @@ func Open(path string) (*Log, []Record, error) {
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].LSN < recs[j].LSN })
 	return l, recs, nil
-}
-
-// Path returns the log's file path ("" on a nil log).
-func (l *Log) Path() string {
-	if l == nil {
-		return ""
-	}
-	return l.path
 }
 
 // SetHooks installs the append/fsync observers (either may be nil).

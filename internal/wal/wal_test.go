@@ -209,9 +209,6 @@ func TestNilLogNoops(t *testing.T) {
 	}
 	l.Freeze()
 	l.SetHooks(nil, nil)
-	if l.Path() != "" {
-		t.Fatal("nil Path")
-	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("nil close: %v", err)
 	}
