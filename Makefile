@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json certify race cover bench bench-json bench-serve servebench-check serve-test experiments experiments-check quick-experiments fmt fmt-check fuzz-smoke chaos chaos-restart
+.PHONY: all build test vet lint lint-json certify race cover bench bench-json bench-serve servebench-check serve-test experiments experiments-check quick-experiments fmt fmt-check fuzz-smoke chaos chaos-restart loc
 
 all: build vet lint test
 
@@ -149,3 +149,12 @@ fmt:
 # Fail (listing the offenders) if any file is not gofmt-clean.
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# Go line counts of the tracked tree, without the lint fixtures
+# (internal/analysis/testdata) and the benchmark module (_servebench):
+# the before/after numbers a change that deletes code reports. Only
+# files git tracks count, so `git add` new files first.
+loc:
+	@files=$$(git ls-files '*.go' | grep -v -e '^internal/analysis/testdata/' -e '^_servebench/'); \
+	echo "non-test Go lines: $$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l)"; \
+	echo "test Go lines:     $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l)"

@@ -222,11 +222,13 @@ func TestGoldenDeterminismWithTracing(t *testing.T) {
 
 // ledgerRun drives a batch of concurrent spends through a shared
 // accountant observed by a ledger, under the parallel engine with the
-// given worker count, and returns both sides' composed guarantees.
-func ledgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant) {
+// given worker count, and returns both books and the Seq of every spend
+// in the order the observer saw them.
+func ledgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant, seqs []uint64) {
 	acct = &mechanism.Accountant{}
 	led = obs.NewLedger(nil)
 	acct.SetObserver(func(r mechanism.SpendRecord) {
+		seqs = append(seqs, r.Seq)
 		led.Record(obs.LedgerRecord{
 			Seq:         r.Seq,
 			Mechanism:   r.Meta.Mechanism,
@@ -249,7 +251,7 @@ func ledgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant) {
 			)
 		}
 	})
-	return led, acct
+	return led, acct, seqs
 }
 
 // TestLedgerMatchesAccountantAcrossWorkers pins satellite invariants of
@@ -259,10 +261,10 @@ func ledgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant) {
 // bit-identical between serial and 8-worker runs even though the spend
 // arrival order differs.
 func TestLedgerMatchesAccountantAcrossWorkers(t *testing.T) {
-	_, refAcct := ledgerRun(1)
+	_, refAcct, _ := ledgerRun(1)
 	refG := refAcct.BasicComposition()
 	for _, workers := range []int{1, 8} {
-		led, acct := ledgerRun(workers)
+		led, acct, seqs := ledgerRun(workers)
 		if led.Len() != acct.Count() {
 			t.Fatalf("workers=%d: ledger has %d records, accountant %d", workers, led.Len(), acct.Count())
 		}
@@ -275,12 +277,22 @@ func TestLedgerMatchesAccountantAcrossWorkers(t *testing.T) {
 		if !bitsEqual(float64Bits(g.Epsilon, g.Delta), float64Bits(refG.Epsilon, refG.Delta)) {
 			t.Errorf("workers=%d: composed guarantee bits differ from serial run", workers)
 		}
-		// Seq numbers must be a permutation-free total order 0..n−1: the
-		// records sorted by Seq carry each sequence number exactly once.
-		for i, r := range led.Records() {
-			if r.Seq != uint64(i) {
-				t.Fatalf("workers=%d: record %d has seq %d", workers, i, r.Seq)
-			}
+		// Seq numbers must be a total order 0..n−1 that the observer,
+		// called under the accountant's lock, sees in sequence.
+		checkSeqs(t, workers, seqs, acct.Count())
+	}
+}
+
+// checkSeqs asserts that the observer saw exactly the sequence numbers
+// 0..count−1, in order.
+func checkSeqs(t *testing.T, workers int, seqs []uint64, count int) {
+	t.Helper()
+	if len(seqs) != count {
+		t.Fatalf("workers=%d: observer saw %d spends, accountant %d", workers, len(seqs), count)
+	}
+	for i, seq := range seqs {
+		if seq != uint64(i) {
+			t.Fatalf("workers=%d: spend %d has seq %d", workers, i, seq)
 		}
 	}
 }
@@ -353,13 +365,14 @@ func TestGoldenDeterminismCheckpointResume(t *testing.T) {
 // budgetedLedgerRun drives concurrent two-phase spends against a
 // budget-capped accountant under the parallel engine: each worker
 // reserves, commits what the budget admits, and releases the rest.
-func budgetedLedgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant) {
+func budgetedLedgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant, seqs []uint64) {
 	acct = &mechanism.Accountant{}
 	if err := acct.SetBudget(mechanism.Guarantee{Epsilon: 0.05}); err != nil {
 		panic(err)
 	}
 	led = obs.NewLedger(nil)
 	acct.SetObserver(func(r mechanism.SpendRecord) {
+		seqs = append(seqs, r.Seq)
 		led.Record(obs.LedgerRecord{Seq: r.Seq, Mechanism: r.Meta.Mechanism,
 			Epsilon: r.Guarantee.Epsilon, Delta: r.Guarantee.Delta})
 	})
@@ -373,7 +386,7 @@ func budgetedLedgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant
 			res.Release() // no-op after Commit (the defer idiom)
 		}
 	})
-	return led, acct
+	return led, acct, seqs
 }
 
 // TestBudgetedLedgerMatchesAccountant pins the budget-enforcement
@@ -385,7 +398,7 @@ func budgetedLedgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant
 // is arrival-order under contention) — the invariants may not.
 func TestBudgetedLedgerMatchesAccountant(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		led, acct := budgetedLedgerRun(workers)
+		led, acct, seqs := budgetedLedgerRun(workers)
 		if led.Len() != acct.Count() {
 			t.Fatalf("workers=%d: ledger has %d records, accountant %d", workers, led.Len(), acct.Count())
 		}
@@ -404,11 +417,7 @@ func TestBudgetedLedgerMatchesAccountant(t *testing.T) {
 		if g.Epsilon > 0.05 {
 			t.Errorf("workers=%d: composed ε=%.17g exceeds the 0.05 budget", workers, g.Epsilon)
 		}
-		for i, r := range led.Records() {
-			if r.Seq != uint64(i) {
-				t.Fatalf("workers=%d: record %d has seq %d", workers, i, r.Seq)
-			}
-		}
+		checkSeqs(t, workers, seqs, acct.Count())
 	}
 }
 

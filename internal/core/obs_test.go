@@ -91,7 +91,16 @@ func TestFitLedgersThroughAccountantObserver(t *testing.T) {
 	if led.Len() != acct.Count() || led.Len() != 1 {
 		t.Fatalf("ledger %d records, accountant %d spends, want 1 each", led.Len(), acct.Count())
 	}
-	rec := led.Records()[0]
+	// The spend landed inside a live trace span tree, and the stream
+	// carries its line.
+	data, err := obs.ReadTraceNDJSON(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data.Ledger) != 1 {
+		t.Fatalf("trace stream carries %d ledger line(s), want 1", len(data.Ledger))
+	}
+	rec := data.Ledger[0]
 	if rec.Mechanism != "gibbs" {
 		t.Fatalf("mechanism %q, want gibbs", rec.Mechanism)
 	}
@@ -103,15 +112,8 @@ func TestFitLedgersThroughAccountantObserver(t *testing.T) {
 	}
 	e, del := led.Composed()
 	g := acct.BasicComposition()
-	if e != g.Epsilon || del != g.Delta {
-		t.Fatalf("ledger (%g,%g) != accountant (%g,%g)", e, del, g.Epsilon, g.Delta)
-	}
-	// And the spend landed inside a live trace span tree.
-	data, err := obs.ReadTraceNDJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs := data.Ledger; len(recs) != 1 || recs[0] != rec {
-		t.Fatalf("trace stream ledger mismatch: %+v", recs)
+	if e != g.Epsilon || del != g.Delta || e != rec.Epsilon || del != rec.Delta {
+		t.Fatalf("ledger (%g,%g), accountant (%g,%g), streamed line (%g,%g) disagree",
+			e, del, g.Epsilon, g.Delta, rec.Epsilon, rec.Delta)
 	}
 }

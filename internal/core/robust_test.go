@@ -139,6 +139,8 @@ func TestFitFallbackWithoutCache(t *testing.T) {
 // and a third fit with zero remaining is refused.
 func TestFitWidenPolicy(t *testing.T) {
 	var acct mechanism.Accountant
+	var recs []mechanism.SpendRecord
+	acct.SetObserver(func(r mechanism.SpendRecord) { recs = append(recs, r) })
 	l, d, g := budgetedLearner(t, 2, &acct, DegradeWiden)
 	full := fitGuarantee(t, l, d)
 	budget := mechanism.Guarantee{Epsilon: 1.5 * full.Epsilon}
@@ -159,7 +161,6 @@ func TestFitWidenPolicy(t *testing.T) {
 	if !second.Degraded || second.Policy != DegradeWiden {
 		t.Fatalf("widened fit not flagged: %+v", second)
 	}
-	recs := acct.Records()
 	if len(recs) != 2 {
 		t.Fatalf("want 2 ledger records, got %d", len(recs))
 	}

@@ -96,6 +96,8 @@ func TestChaosBudgetDenials(t *testing.T) {
 	if err := acct.SetBudget(mechanism.Guarantee{Epsilon: 10}); err != nil {
 		t.Fatal(err)
 	}
+	var seqs []uint64 // appended under the accountant's lock
+	acct.SetObserver(func(r mechanism.SpendRecord) { seqs = append(seqs, r.Seq) })
 	sched := faults.NewSchedule(29, map[faults.Class]float64{faults.BudgetDeny: 0.5})
 	const workers, iters = 8, 150
 	var committed, denied atomic.Int64
@@ -136,9 +138,12 @@ func TestChaosBudgetDenials(t *testing.T) {
 	if int64(acct.Count()) != committed.Load() {
 		t.Fatalf("half-spend: ledger has %d records, %d commits happened", acct.Count(), committed.Load())
 	}
-	for i, rec := range acct.Records() {
-		if rec.Seq != uint64(i) {
-			t.Fatalf("ledger sequence has a gap at %d (seq %d)", i, rec.Seq)
+	if len(seqs) != acct.Count() {
+		t.Fatalf("observer saw %d spends, accountant counted %d", len(seqs), acct.Count())
+	}
+	for i, seq := range seqs {
+		if seq != uint64(i) {
+			t.Fatalf("ledger sequence has a gap at %d (seq %d)", i, seq)
 		}
 	}
 	if comp := acct.BasicComposition(); comp.Epsilon > 10 {

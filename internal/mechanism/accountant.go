@@ -38,16 +38,17 @@ type SpendMeta struct {
 	// outside any request). Commit sites stamp it from ChargeScopeFrom,
 	// and the accountant appends the committed record to it, so every
 	// guarantee a facade call commits — however it recomputes ε
-	// internally — reaches the request's record exactly. The spend
-	// history drops it: a scope lives only as long as its request.
+	// internally — reaches the request's record exactly. The observer
+	// sees the record without it: a scope lives only as long as its
+	// request.
 	Charge *ChargeScope
 }
 
 // SpendRecord is one accounted release: the guarantee, its metadata,
 // and the accountant's monotonic sequence number. Seq is assigned under
-// the accountant's lock, so it is a total arrival order — the privacy
-// ledger sorts by it to present releases in audit order even when the
-// parallel engine's workers spend concurrently.
+// the accountant's lock, so it is a total arrival order — the observer
+// sees releases in audit order even when the parallel engine's workers
+// spend concurrently.
 type SpendRecord struct {
 	Seq       uint64
 	Guarantee Guarantee
@@ -68,22 +69,26 @@ type SpendObserver func(SpendRecord)
 // Spend and the composition queries are safe for concurrent use.
 type Accountant struct {
 	mu       sync.Mutex
-	spent    []SpendRecord
 	observer SpendObserver
 
-	// spentEps and spentDel are the exact running sums of every spent
-	// guarantee, so composing the history costs the same at any length.
+	// No per-spend history: spent counts the spends (the next Seq),
+	// spentEps and spentDel are their exact running sums, firstEps is
+	// the first spend's ε, and advErr is set by the first spend that
+	// breaks AdvancedComposition's homogeneous pure-ε precondition.
+	spent              int
 	spentEps, spentDel mathx.ExactSum
+	firstEps           float64
+	advErr             error
 
 	// Budget enforcement (see budget.go): when hasBudget is set, Reserve
 	// admits a release only if the composition of spent, reserved, and
-	// the request stays within budget. reserved holds the outstanding
-	// (reserved-but-not-yet-committed) claims by identity, heldEps and
-	// heldDel their exact sums, and usedEps and usedDel are scratch for
-	// spent plus held.
+	// the request stays within budget. held counts the outstanding
+	// (reserved-but-not-yet-committed) claims, heldEps and heldDel are
+	// their exact sums, and usedEps and usedDel are scratch for spent
+	// plus held.
 	budget           Guarantee
 	hasBudget        bool
-	reserved         []*Reservation
+	held             int
 	heldEps, heldDel mathx.ExactSum
 	usedEps, usedDel mathx.ExactSum
 }
@@ -120,16 +125,25 @@ func (a *Accountant) SpendDetail(g Guarantee, meta SpendMeta) {
 	a.recordLocked(g, meta)
 }
 
-// recordLocked commits one spend: the next sequence number, the history
-// (without the request's charge scope, so the scope dies with its
-// request) and its sums, the scope, then the observer. Caller holds
-// a.mu.
+// recordLocked commits one spend: the next sequence number, the count
+// and sums, AdvancedComposition's precondition, the request's scope,
+// then the observer. The record the scope and the observer see drops
+// the scope, so nothing pins it past its request. Caller holds a.mu.
 func (a *Accountant) recordLocked(g Guarantee, meta SpendMeta) {
-	rec := SpendRecord{Seq: uint64(len(a.spent)), Guarantee: g, Meta: meta}
+	rec := SpendRecord{Seq: uint64(a.spent), Guarantee: g, Meta: meta}
 	rec.Meta.Charge = nil
-	a.spent = append(a.spent, rec)
+	if a.spent == 0 {
+		a.firstEps = g.Epsilon
+	}
+	a.spent++
 	a.spentEps.Add(g.Epsilon)
 	a.spentDel.Add(g.Delta)
+	if a.advErr == nil && g.Delta != 0 { //dplint:ignore floateq pure eps-DP is encoded as bitwise delta=0; no arithmetic ever perturbs it
+		a.advErr = errors.New("mechanism: advanced composition implemented for pure ε-DP only")
+	}
+	if a.advErr == nil && g.Epsilon != a.firstEps { //dplint:ignore floateq homogeneity check: the spent guarantees must carry the identical stored ε
+		a.advErr = errors.New("mechanism: advanced composition implemented for homogeneous ε only")
+	}
 	meta.Charge.add(rec)
 	if a.observer != nil {
 		a.observer(rec)
@@ -143,17 +157,20 @@ func (a *Accountant) Count() int {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.spent)
+	return a.spent
 }
 
-// Records returns a copy of the accounted releases in sequence order.
-func (a *Accountant) Records() []SpendRecord {
+// Audit runs check on the spend count and basic composition under the
+// accountant's lock, so no spend commits while check also reads what
+// the observer wrote. check must not call back into the accountant; on
+// a nil accountant it sees the empty books.
+func (a *Accountant) Audit(check func(count int, basic Guarantee) error) error {
 	if a == nil {
-		return nil
+		return check(0, Guarantee{})
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]SpendRecord(nil), a.spent...)
+	return check(a.spent, Guarantee{Epsilon: a.spentEps.Float64(), Delta: a.spentDel.Float64()})
 }
 
 // BasicComposition returns the sequential-composition guarantee:
@@ -182,27 +199,24 @@ func (a *Accountant) BasicComposition() Guarantee {
 // guarantees): for any slack δ′ > 0 the composition is
 // (ε·sqrt(2k·ln(1/δ′)) + k·ε·(e^ε − 1), δ′)-DP.
 // It returns an error if the recorded guarantees are heterogeneous or
-// impure, since the closed form only covers that case.
+// impure, since the closed form only covers that case; the first spend
+// to break the precondition picks the error.
 func (a *Accountant) AdvancedComposition(deltaSlack float64) (Guarantee, error) {
 	if deltaSlack <= 0 || deltaSlack >= 1 {
 		return Guarantee{}, errors.New("mechanism: advanced composition needs slack in (0,1)")
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.spent) == 0 {
+	if a == nil {
 		return Guarantee{Delta: deltaSlack}, nil
 	}
-	eps := a.spent[0].Guarantee.Epsilon
-	for _, r := range a.spent {
-		g := r.Guarantee
-		if g.Delta != 0 { //dplint:ignore floateq pure eps-DP is encoded as bitwise delta=0; no arithmetic ever perturbs it
-			return Guarantee{}, errors.New("mechanism: advanced composition implemented for pure ε-DP only")
-		}
-		if g.Epsilon != eps { //dplint:ignore floateq homogeneity check: the spent guarantees must carry the identical stored ε
-			return Guarantee{}, errors.New("mechanism: advanced composition implemented for homogeneous ε only")
-		}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.spent == 0 {
+		return Guarantee{Delta: deltaSlack}, nil
 	}
-	k := float64(len(a.spent))
+	if a.advErr != nil {
+		return Guarantee{}, a.advErr
+	}
+	eps, k := a.firstEps, float64(a.spent)
 	epsTotal := eps*math.Sqrt(2*k*math.Log(1/deltaSlack)) + k*eps*math.Expm1(eps)
 	return Guarantee{Epsilon: epsTotal, Delta: deltaSlack}, nil
 }
@@ -245,7 +259,7 @@ func (a *Accountant) Reset() {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.spent = a.spent[:0]
+	a.spent, a.firstEps, a.advErr = 0, 0, nil
 	a.spentEps.Reset()
 	a.spentDel.Reset()
 }

@@ -13,6 +13,23 @@ func TestAccountantNilSink(t *testing.T) {
 	if a.Count() != 0 {
 		t.Errorf("nil accountant Count = %d", a.Count())
 	}
+	// The compositions answer as the empty accountant does.
+	if g, err := a.AdvancedComposition(1e-6); err != nil || g != (Guarantee{Delta: 1e-6}) {
+		t.Errorf("nil accountant AdvancedComposition = %+v, %v; want {0, 1e-6}", g, err)
+	}
+	if _, err := a.AdvancedComposition(0); err == nil {
+		t.Error("nil accountant must still refuse slack 0")
+	}
+	if g := a.BestComposition(1e-6); g != (Guarantee{}) {
+		t.Errorf("nil accountant BestComposition = %+v, want basic {0, 0}", g)
+	}
+	audited := false
+	if err := a.Audit(func(count int, basic Guarantee) error {
+		audited = count == 0 && basic == (Guarantee{})
+		return nil
+	}); err != nil || !audited {
+		t.Errorf("nil accountant Audit must see the empty books: audited=%v, err=%v", audited, err)
+	}
 }
 
 // TestAdvancedCompositionSlackBoundary walks both ends of the open

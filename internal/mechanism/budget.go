@@ -161,9 +161,8 @@ func (a *Accountant) Reserve(g Guarantee) (*Reservation, error) {
 				g.Epsilon, g.Delta, used.Epsilon, used.Delta, a.budget.Epsilon, a.budget.Delta, ErrBudgetExhausted)
 		}
 	}
-	res := &Reservation{a: a, g: g}
-	a.reserved = append(a.reserved, res)
-	return res, nil
+	a.held++
+	return &Reservation{a: a, g: g}, nil
 }
 
 // Amount returns the reserved guarantee (zero on a nil reservation).
@@ -174,8 +173,8 @@ func (r *Reservation) Amount() Guarantee {
 	return r.g
 }
 
-// Commit converts the hold into a recorded spend: the reservation is
-// removed from the outstanding set and a SpendRecord with the next
+// Commit converts the hold into a recorded spend: the reservation
+// leaves the outstanding holds and a SpendRecord with the next
 // sequence number is appended and forwarded to the observer, exactly as
 // SpendDetail would. Committing a released reservation or committing
 // twice is an API-misuse panic — it would double-charge the ledger.
@@ -221,18 +220,14 @@ func (r *Reservation) Release() {
 	r.a.dropReservationLocked(r)
 }
 
-// dropReservationLocked removes one reservation by identity and
-// subtracts its guarantee from the held sums, exactly. Caller holds
-// a.mu.
+// dropReservationLocked removes one outstanding hold: the count and,
+// exactly, its guarantee from the held sums. The reservation's state
+// machine calls it once per hold, on the move out of resHeld. Caller
+// holds a.mu.
 func (a *Accountant) dropReservationLocked(r *Reservation) {
-	for i, held := range a.reserved {
-		if held == r {
-			a.reserved = append(a.reserved[:i], a.reserved[i+1:]...)
-			a.heldEps.Sub(r.g.Epsilon)
-			a.heldDel.Sub(r.g.Delta)
-			return
-		}
-	}
+	a.held--
+	a.heldEps.Sub(r.g.Epsilon)
+	a.heldDel.Sub(r.g.Delta)
 }
 
 // Reserved returns the number of outstanding (held, neither committed
@@ -243,5 +238,5 @@ func (a *Accountant) Reserved() int {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.reserved)
+	return a.held
 }

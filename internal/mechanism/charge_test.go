@@ -7,9 +7,9 @@ import (
 
 // TestChargeScopeCollectsCommits pins the one-record contract: both
 // commit paths (SpendDetail and Reservation.Commit) append to the scope
-// stamped on their SpendMeta, in commit order, while the accountant's
-// history and its observer see the record without the scope — so a
-// request's scope is never pinned past the request.
+// stamped on their SpendMeta, in commit order, while the observer sees
+// the record without the scope — so a request's scope is never pinned
+// past the request.
 func TestChargeScopeCollectsCommits(t *testing.T) {
 	var a Accountant
 	var observed []SpendRecord
@@ -38,7 +38,7 @@ func TestChargeScopeCollectsCommits(t *testing.T) {
 	if recs[1].Guarantee != (Guarantee{Epsilon: 0.5, Delta: 1e-6}) {
 		t.Errorf("scope holds %+v, want the committed guarantee", recs[1].Guarantee)
 	}
-	for _, r := range append(a.Records(), observed...) {
+	for _, r := range observed {
 		if r.Meta.Charge != nil {
 			t.Errorf("seq %d keeps its request's scope", r.Seq)
 		}

@@ -460,6 +460,37 @@ func TestAccountantAdvancedErrors(t *testing.T) {
 	if a.BestComposition(1e-5).Epsilon != a.BasicComposition().Epsilon {
 		t.Error("fallback to basic")
 	}
+	// The first spend that breaks the precondition names the error, and
+	// no later spend changes it.
+	impureErr := "mechanism: advanced composition implemented for pure ε-DP only"
+	heteroErr := "mechanism: advanced composition implemented for homogeneous ε only"
+	var f Accountant
+	f.Spend(Guarantee{Epsilon: 0.1})
+	f.Spend(Guarantee{Epsilon: 0.1, Delta: 1e-9})
+	f.Spend(Guarantee{Epsilon: 0.3})
+	if _, err := f.AdvancedComposition(1e-5); err == nil || err.Error() != impureErr {
+		t.Errorf("impure then heterogeneous: got %v, want the pure-ε error", err)
+	}
+	var h Accountant
+	h.Spend(Guarantee{Epsilon: 0.1})
+	h.Spend(Guarantee{Epsilon: 0.3})
+	h.Spend(Guarantee{Epsilon: 0.1, Delta: 1e-9})
+	if _, err := h.AdvancedComposition(1e-5); err == nil || err.Error() != heteroErr {
+		t.Errorf("heterogeneous then impure: got %v, want the homogeneous-ε error", err)
+	}
+	// Reset clears the recorded violation and the first ε: the next
+	// homogeneous history composes as on a fresh accountant.
+	h.Reset()
+	var fresh Accountant
+	for _, acct := range []*Accountant{&h, &fresh} {
+		acct.Spend(Guarantee{Epsilon: 0.3})
+		acct.Spend(Guarantee{Epsilon: 0.3})
+	}
+	got, err := h.AdvancedComposition(1e-5)
+	want, wantErr := fresh.AdvancedComposition(1e-5)
+	if err != nil || wantErr != nil || got != want {
+		t.Errorf("after Reset: got %+v, %v; want %+v, %v", got, err, want, wantErr)
+	}
 }
 
 func TestParallelComposition(t *testing.T) {

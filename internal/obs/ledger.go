@@ -1,14 +1,13 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/mathx"
 )
 
 // LedgerRecord is one line of the privacy ledger: the runtime account of
-// a single differentially-private release. It is the dynamic mirror of a
+// a single differentially-private release. It carries the fields of a
 // mechanism.SpendRecord — the ledger stays decoupled from the mechanism
 // package so that obs depends only on the standard library and mathx;
 // the accountant's observer hook copies the fields across.
@@ -44,33 +43,37 @@ type ledgerLine struct {
 	LedgerRecord
 }
 
-// Ledger accumulates the privacy ledger of one run. It is safe for
-// concurrent use; a nil *Ledger is a valid no-op sink. When a Tracer is
-// attached, every record is additionally emitted as a "ledger" NDJSON
-// line into the trace stream, interleaved with spans.
+// Ledger keeps the books of one run's privacy ledger — the release count
+// and the exact sums of their ε and δ, no per-release history — and,
+// when a Tracer is attached, streams every record as a "ledger" NDJSON
+// line interleaved with spans. It is safe for concurrent use; a nil
+// *Ledger is a valid no-op sink.
 type Ledger struct {
-	mu     sync.Mutex
-	recs   []LedgerRecord
-	tracer *Tracer
+	mu       sync.Mutex
+	n        int
+	eps, del mathx.ExactSum
+	tracer   *Tracer
 }
 
 // NewLedger returns an empty ledger. tracer may be nil; when set, each
-// Record is also written to the trace as an NDJSON "ledger" line.
+// Record is written to the trace as an NDJSON "ledger" line.
 func NewLedger(tracer *Tracer) *Ledger {
 	return &Ledger{tracer: tracer}
 }
 
-// Record appends one release to the ledger (nil-safe).
+// Record counts one release into the books and streams its line to the
+// tracer, if any (nil-safe).
 func (l *Ledger) Record(r LedgerRecord) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
-	l.recs = append(l.recs, r)
-	tr := l.tracer
+	l.n++
+	l.eps.Add(r.Epsilon)
+	l.del.Add(r.Delta)
 	l.mu.Unlock()
-	if tr != nil {
-		tr.emit(ledgerLine{Type: "ledger", LedgerRecord: r})
+	if l.tracer != nil {
+		l.tracer.emit(ledgerLine{Type: "ledger", LedgerRecord: r})
 	}
 }
 
@@ -81,20 +84,7 @@ func (l *Ledger) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.recs)
-}
-
-// Records returns a copy of the ledger sorted by sequence number — the
-// audit order of the releases.
-func (l *Ledger) Records() []LedgerRecord {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	out := append([]LedgerRecord(nil), l.recs...)
-	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	return l.n
 }
 
 // Composed returns the basic sequential composition (Σεᵢ, Σδᵢ) of the
@@ -106,14 +96,9 @@ func (l *Ledger) Composed() (epsilon, delta float64) {
 	if l == nil {
 		return 0, 0
 	}
-	var eps, del mathx.ExactSum
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, r := range l.recs {
-		eps.Add(r.Epsilon)
-		del.Add(r.Delta)
-	}
-	return eps.Float64(), del.Float64()
+	return l.eps.Float64(), l.del.Float64()
 }
 
 // ComposeBasic is the basic-composition sum (Σεᵢ, Σδᵢ) of a list of

@@ -137,22 +137,25 @@ func RecordSpend(l *obs.Ledger, r mechanism.SpendRecord) {
 }
 
 // CrossCheck verifies ledger l against the accountant it observed: the
-// record counts must match and the composed (ε, δ) must agree
+// release counts must match and the composed (ε, δ) must agree
 // bit-for-bit (both sides round the exact sum of the spend multiset
 // with mathx.ExactSum). A mismatch means a release escaped the ledger —
-// the dynamic analogue of an acctlint finding.
+// the dynamic analogue of an acctlint finding. Both books are read in
+// one Accountant.Audit, so a spend committing meanwhile counts in both
+// or neither (the observer writes the ledger under the same lock).
 func CrossCheck(l *obs.Ledger, acct *mechanism.Accountant) error {
-	if got, want := l.Len(), acct.Count(); got != want {
-		return fmt.Errorf("obsglue: ledger has %d record(s), accountant spent %d", got, want)
-	}
-	le, ld := l.Composed()
-	g := acct.BasicComposition()
-	//dplint:ignore floateq bit-exact agreement between ledger and accountant is the property under test
-	if le != g.Epsilon || ld != g.Delta {
-		return fmt.Errorf("obsglue: ledger composes to (%.17g, %.17g), accountant to (%.17g, %.17g)",
-			le, ld, g.Epsilon, g.Delta)
-	}
-	return nil
+	return acct.Audit(func(count int, g mechanism.Guarantee) error {
+		if got := l.Len(); got != count {
+			return fmt.Errorf("obsglue: ledger has %d record(s), accountant spent %d", got, count)
+		}
+		le, ld := l.Composed()
+		//dplint:ignore floateq bit-exact agreement between ledger and accountant is the property under test
+		if le != g.Epsilon || ld != g.Delta {
+			return fmt.Errorf("obsglue: ledger composes to (%.17g, %.17g), accountant to (%.17g, %.17g)",
+				le, ld, g.Epsilon, g.Delta)
+		}
+		return nil
+	})
 }
 
 // Close stops the HTTP endpoint, flushes and closes the trace file, and

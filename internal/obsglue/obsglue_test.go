@@ -7,7 +7,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -120,6 +123,87 @@ func TestCrossCheckDetectsEscapedRelease(t *testing.T) {
 	if err := CrossCheck(rt.Ledger, &rogue); err == nil {
 		t.Fatal("cross-check should fail when counts differ")
 	}
+}
+
+// TestCrossCheckUnderLiveTraffic audits books that agree while two
+// goroutines keep spending through the observed accountant: every
+// audit must pass, because a spend that commits mid-audit must land in
+// neither book or in both.
+func TestCrossCheckUnderLiveTraffic(t *testing.T) {
+	led := obs.NewLedger(nil)
+	var acct mechanism.Accountant
+	acct.SetObserver(func(r mechanism.SpendRecord) { RecordSpend(led, r) })
+	var stop atomic.Bool
+	var started, wg sync.WaitGroup
+	started.Add(2)
+	wg.Add(2)
+	for w := 0; w < 2; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				acct.SpendDetail(mechanism.Guarantee{Epsilon: 1e-3 * float64(i%7+1), Delta: 1e-9 * float64(w)},
+					mechanism.SpendMeta{Mechanism: "laplace"})
+				if i == 0 {
+					started.Done()
+				}
+			}
+		}(w)
+	}
+	started.Wait()
+	failed := 0
+	var first error
+	for i := 0; i < 2000; i++ {
+		if err := CrossCheck(led, &acct); err != nil {
+			if failed == 0 {
+				first = err
+			}
+			failed++
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if failed > 0 {
+		t.Fatalf("%d of 2000 audits failed on agreeing books under live traffic, first: %v", failed, first)
+	}
+	if err := CrossCheck(led, &acct); err != nil || acct.Count() == 0 {
+		t.Fatalf("final audit after %d spend(s): %v", acct.Count(), err)
+	}
+}
+
+// TestBooksRetainNoHistory pins that the accountant and the ledger keep
+// counts and exact sums, not a list of spends: 10⁵ spends through the
+// bridge grow the live heap by far less than one byte per spend.
+func TestBooksRetainNoHistory(t *testing.T) {
+	const spends = 100_000
+	led := obs.NewLedger(nil)
+	acct := &mechanism.Accountant{}
+	acct.SetObserver(func(r mechanism.SpendRecord) { RecordSpend(led, r) })
+	before := liveHeap()
+	for i := 0; i < spends; i++ {
+		acct.SpendDetail(mechanism.Guarantee{Epsilon: 1e-3 * float64(i%7+1)},
+			mechanism.SpendMeta{Mechanism: "laplace", Sensitivity: 1, Outcomes: 16})
+	}
+	after := liveHeap()
+	if err := CrossCheck(led, acct); err != nil || led.Len() != spends {
+		t.Fatalf("books after %d spends: ledger %d, %v", spends, led.Len(), err)
+	}
+	runtime.KeepAlive(acct)
+	runtime.KeepAlive(led)
+	grew := int64(after) - int64(before)
+	t.Logf("live heap grew %d B over %d spends", grew, spends)
+	if grew > 1<<20 {
+		t.Fatalf("live heap grew %d B over %d spends, want under 1 MiB", grew, spends)
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full
+// collection (two cycles, so pooled objects are dropped too).
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // TestStartServesMetrics checks the -metrics-addr path binds a real

@@ -383,14 +383,16 @@ func (s *Server) retryAfter(tenantID string, quotedEps float64) int {
 	if rate <= 0 {
 		return base
 	}
-	hint := int(math.Ceil(quotedEps / rate))
-	if hint < base {
-		hint = base
+	// Clamp in float64: quotedEps/rate can pass the int range (any
+	// finite ε is a valid quote), where conversion is implementation-defined.
+	hint := math.Ceil(quotedEps / rate)
+	if hint < float64(base) {
+		hint = float64(base)
 	}
 	if hint > 60 {
 		hint = 60
 	}
-	return hint
+	return int(hint)
 }
 
 // tenant resolves the tenant or fails with errUnknownTenant.

@@ -74,8 +74,8 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, out
 }
 
-// checkBooks audits one tenant end to end: ledger-vs-accountant
-// cross-check, the ledger's records recomposing bit-identically, and no
+// checkBooks audits one tenant end to end: the ledger-vs-accountant
+// cross-check (release counts equal, compositions bit-identical) and no
 // leaked reservations.
 func checkBooks(t *testing.T, tn *Tenant) {
 	t.Helper()
@@ -84,22 +84,6 @@ func checkBooks(t *testing.T, tn *Tenant) {
 	}
 	if r := tn.Acct.Reserved(); r != 0 {
 		t.Errorf("tenant %s leaked %d reservation(s)", tn.ID, r)
-	}
-	recs := tn.Ledger.Records()
-	if len(recs) != tn.Acct.Count() {
-		t.Fatalf("tenant %s: ledger has %d record(s), accountant spent %d", tn.ID, len(recs), tn.Acct.Count())
-	}
-	eps := make([]float64, len(recs))
-	del := make([]float64, len(recs))
-	for i, r := range recs {
-		eps[i], del[i] = r.Epsilon, r.Delta
-	}
-	ce, cd := obs.ComposeBasic(eps, del)
-	g := tn.Acct.BasicComposition()
-	//dplint:ignore floateq bit-exact ledger-vs-accountant agreement is the audited property
-	if ce != g.Epsilon || cd != g.Delta {
-		t.Errorf("tenant %s: ledger composes to (%.17g, %.17g), accountant to (%.17g, %.17g)",
-			tn.ID, ce, cd, g.Epsilon, g.Delta)
 	}
 }
 
@@ -157,6 +141,20 @@ func TestTenantIsolation(t *testing.T) {
 	}
 	if betaOK != 10 {
 		t.Errorf("beta: got %d successful fits, want 10", betaOK)
+	}
+}
+
+// TestRetryAfterCapsHugeQuote pins the 429 hint for a quote whose
+// burn-rate estimate is far past the int range: the 60 s cap, not a
+// wrapped conversion clamped up to the floor.
+func TestRetryAfterCapsHugeQuote(t *testing.T) {
+	s, _ := newTestService(t, Config{
+		Tenants: []TenantConfig{{ID: "solo", Budget: mechanism.Guarantee{Epsilon: 1}}},
+	})
+	tn, _ := s.Tenants().Get("solo")
+	tn.Acct.Spend(mechanism.Guarantee{Epsilon: 0.5})
+	if got := s.retryAfter("solo", 1e300); got != 60 {
+		t.Fatalf("Retry-After for quote 1e300 = %d, want the 60 s cap", got)
 	}
 }
 

@@ -30,7 +30,7 @@ type TenantConfig struct {
 }
 
 // Tenant is one live tenant: a dedicated Accountant enforcing the hard
-// budget, the NDJSON privacy ledger mirroring every spend, and a
+// budget, the privacy ledger booking every spend, and a
 // Learner configured against the accountant. All fields are safe for
 // concurrent use; isolation between tenants is structural — no shared
 // accountant, ledger, fallback cache, or write-ahead log.

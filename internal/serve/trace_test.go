@@ -301,14 +301,16 @@ func accessLines(t *testing.T, buf *bytes.Buffer) []obs.AccessRecord {
 	return tr.Access
 }
 
-// lastCharge returns the ε of the tenant's most recent committed spend.
-func lastCharge(t *testing.T, tn *Tenant) float64 {
+// headroom returns the tenant's remaining ε: exactly what its next
+// widened fit charges, since a widen reserves and commits the
+// remainder itself (core's TestFitWidenPolicy pins the bits).
+func headroom(t *testing.T, tn *Tenant) float64 {
 	t.Helper()
-	recs := tn.Acct.Records()
-	if len(recs) == 0 {
-		t.Fatalf("tenant %s has no spends", tn.ID)
+	rem, ok := tn.Acct.Remaining()
+	if !ok || rem.Epsilon <= 0 {
+		t.Fatalf("tenant %s has no headroom left to widen into: %+v", tn.ID, rem)
 	}
-	return recs[len(recs)-1].Guarantee.Epsilon
+	return rem.Epsilon
 }
 
 // TestAccessSpentUntracedWiden exhausts a tenant, then widens an
@@ -325,19 +327,19 @@ func TestAccessSpentUntracedWiden(t *testing.T) {
 	if resp, body := postJSON(t, ts.URL+"/v1/fit", FitRequest{Tenant: "solo", Seed: 1, Data: data}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first fit: HTTP %d: %s", resp.StatusCode, body)
 	}
+	tn, _ := s.Tenants().Get("solo")
+	want := headroom(t, tn)
 	if resp, body := postJSON(t, ts.URL+"/v1/fit", FitRequest{Tenant: "solo", Seed: 2, Degrade: "widen", Data: data}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("widen fit: HTTP %d: %s", resp.StatusCode, body)
 	}
-	tn, _ := s.Tenants().Get("solo")
-	want := lastCharge(t, tn)
 	lines := accessLines(t, &accessBuf)
 	if len(lines) != 2 {
 		t.Fatalf("access log has %d lines, want 2", len(lines))
 	}
 	got := lines[1]
 	//dplint:ignore floateq the access line must carry the accountant's exact charge
-	if got.SpentEpsilon != want || want <= 0 {
-		t.Errorf("widen fit logged spent=%.17g, accountant charged %.17g", got.SpentEpsilon, want)
+	if got.SpentEpsilon != want {
+		t.Errorf("widen fit logged spent=%.17g, accountant charged the remainder %.17g", got.SpentEpsilon, want)
 	}
 	if got.Outcome != "degraded" {
 		t.Errorf("widen fit outcome %q, want degraded", got.Outcome)
@@ -360,6 +362,8 @@ func TestAccessSpentSharedTraceparent(t *testing.T) {
 	if resp, body := postJSON(t, ts.URL+"/v1/fit", FitRequest{Tenant: "solo", Seed: 1, Data: data}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first fit: HTTP %d: %s", resp.StatusCode, body)
 	}
+	tn, _ := s.Tenants().Get("solo")
+	want := headroom(t, tn)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
@@ -404,8 +408,6 @@ func TestAccessSpentSharedTraceparent(t *testing.T) {
 	if code := <-done; code != http.StatusOK {
 		t.Fatalf("parked widen fit: HTTP %d", code)
 	}
-	tn, _ := s.Tenants().Get("solo")
-	want := lastCharge(t, tn)
 	byEndpoint := map[string]obs.AccessRecord{}
 	for _, ar := range accessLines(t, &accessBuf) {
 		if ar.Trace == tc.TraceID() {
@@ -416,8 +418,8 @@ func TestAccessSpentSharedTraceparent(t *testing.T) {
 		t.Fatalf("want a fit and a certify line under trace %s, got %+v", tc.TraceID(), byEndpoint)
 	}
 	//dplint:ignore floateq the access line must carry the accountant's exact charge
-	if fit := byEndpoint["fit"]; fit.SpentEpsilon != want || want <= 0 || fit.Outcome != "degraded" {
-		t.Errorf("fit logged spent=%.17g outcome=%q, accountant charged %.17g", fit.SpentEpsilon, fit.Outcome, want)
+	if fit := byEndpoint["fit"]; fit.SpentEpsilon != want || fit.Outcome != "degraded" {
+		t.Errorf("fit logged spent=%.17g outcome=%q, accountant charged the remainder %.17g", fit.SpentEpsilon, fit.Outcome, want)
 	}
 	//dplint:ignore floateq a free request must report the exact zero
 	if cert := byEndpoint["certify"]; cert.SpentEpsilon != 0 || cert.Outcome != "free" {

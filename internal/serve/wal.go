@@ -119,9 +119,8 @@ type RecoveryReport struct {
 // attachWAL opens (or creates) the tenant's write-ahead ledger under
 // dir, replays it to rebuild the accountant, and wires the log into the
 // tenant. Replay drives every recovered charge through SpendDetail — the
-// same observer path live commits take — so the NDJSON privacy ledger
-// mirrors the recovered spends and CrossCheck holds from the first
-// request. The rebuilt composition is verified bit-for-bit against
+// same observer path live commits take — so the privacy ledger books
+// the recovered spends and CrossCheck holds from the first request. The rebuilt composition is verified bit-for-bit against
 // obs.ComposeBasic of the commit records' charges; a mismatch fails the
 // boot, because books that cannot be audited must not serve. Stranded
 // reserves are settled with explicit void records, so recovery itself
