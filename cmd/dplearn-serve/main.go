@@ -19,15 +19,15 @@
 // -addr-file writes the bound address (useful with -addr :0) so
 // scripts can wait for readiness; see `make bench-serve`.
 //
-// -wal-dir makes budgets crash-safe: every spending request writes a
-// reserve record before the mechanism runs and a commit record —
-// carrying the exact charges and the response fingerprint — before any
-// response byte escapes. On boot the WAL is replayed: committed charges
-// are rebuilt bit-for-bit (verified against the canonical composition;
-// a mismatch refuses to serve), stranded in-flight requests are voided,
-// and Idempotency-Key outcomes are restored so client retries replay
-// the original response instead of buying a second release. A per-tenant
-// recovery report prints at boot.
+// -wal-dir makes budgets crash-safe: every spending request that
+// answers 2xx writes and fsyncs one commit record — carrying the exact
+// charges, and the response bytes when the request is keyed — before
+// any response byte escapes; a refused, failed or crashed request
+// writes nothing. On boot the WAL is replayed: committed charges are
+// rebuilt bit-for-bit (verified against the canonical composition; a
+// mismatch refuses to serve), and Idempotency-Key outcomes are restored
+// so client retries replay the original response instead of buying a
+// second release. A per-tenant recovery report prints at boot.
 //
 // -tenants-file names a declaration file (same id=eps syntax as
 // -tenants, entries separated by commas or newlines, # comments).
@@ -157,8 +157,8 @@ func main() {
 	}
 	for _, rep := range s.RecoveryReports() {
 		fmt.Fprintf(os.Stderr,
-			"dplearn-serve: tenant %s recovered: %d commit(s) carrying %d charge(s) (eps=%.4g), %d stranded reserve(s) voided, %d idempotency key(s) restored\n",
-			rep.Tenant, rep.Commits, rep.Charges, rep.Epsilon, rep.Unsettled, rep.RestoredKeys)
+			"dplearn-serve: tenant %s recovered: %d commit(s) carrying %d charge(s) (eps=%.4g), %d idempotency key(s) restored\n",
+			rep.Tenant, rep.Commits, rep.Charges, rep.Epsilon, rep.RestoredKeys)
 	}
 
 	if *tenantsFile != "" {

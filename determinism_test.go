@@ -445,12 +445,14 @@ func recoveryMetrics(t *testing.T, base string) string {
 }
 
 // TestRecoveryDeterminismAcrossWorkers builds one write-ahead privacy
-// ledger — committed releases, a stranded reserve, and a torn final
-// line, the full signature of a killed process — then recovers it at
-// Workers=1 and Workers=8. Recovery replay is single-threaded by
-// construction, so both boots must rebuild the identical accountant
-// state (composition compared by bit pattern) and expose byte-identical
-// dplearn_serve_ / dplearn_wal_ metric families.
+// ledger — committed releases, then a stranded reserve and a torn final
+// commit in the older reserve/commit format, the signature of a process
+// killed mid-request — then recovers it at Workers=1 and Workers=8.
+// Alpha must recover exactly its committed fits: the stranded reserve
+// and the torn commit charge nothing. Recovery replay is
+// single-threaded by construction, so both boots must rebuild the
+// identical accountant state (composition compared by bit pattern) and
+// expose byte-identical dplearn_serve_ / dplearn_wal_ metric families.
 func TestRecoveryDeterminismAcrossWorkers(t *testing.T) {
 	tenants := []serve.TenantConfig{
 		{ID: "alpha", Budget: mechanism.Guarantee{Epsilon: 8}},
@@ -505,11 +507,14 @@ func TestRecoveryDeterminismAcrossWorkers(t *testing.T) {
 		Lo: -1, Hi: 1, Quantiles: []float64{0.5}, Epsilon: 0.25, Data: data}, ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("summary: HTTP %d: %s", resp.StatusCode, body)
 	}
+	seedAlpha, _ := s.Tenants().Get("alpha")
+	alphaComp := seedAlpha.Acct.BasicComposition()
+	alphaBooks := float64Bits(alphaComp.Epsilon, alphaComp.Delta)
 	ts.Close()
 	s.CloseWALs()
 
 	// A killed writer leaves work in flight: a stranded reserve and a
-	// torn final line, both of which recovery must settle identically.
+	// torn final line, neither of which may charge.
 	alphaWAL := filepath.Join(seedDir, "alpha.wal")
 	f, err := os.OpenFile(alphaWAL, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
@@ -559,9 +564,14 @@ func TestRecoveryDeterminismAcrossWorkers(t *testing.T) {
 			}
 		}
 		for _, rep := range s.RecoveryReports() {
-			if rep.Tenant == "alpha" && rep.Unsettled != 1 {
-				t.Fatalf("workers=%d: alpha recovery settled %d stranded reserve(s), want 1", workers, rep.Unsettled)
+			if rep.Tenant == "alpha" && (rep.Commits != 2 || rep.RestoredKeys != 2) {
+				t.Fatalf("workers=%d: alpha recovered %d commit(s) and %d key(s), want its 2 committed fits", workers, rep.Commits, rep.RestoredKeys)
 			}
+		}
+		alpha, _ := s.Tenants().Get("alpha")
+		if !bitsEqual(r.comp["alpha"], alphaBooks) || alpha.Acct.Count() != 2 {
+			t.Fatalf("workers=%d: alpha recovered %d spend(s) composing to bits %v, want its 2 committed fits composing to %v",
+				workers, alpha.Acct.Count(), r.comp["alpha"], alphaBooks)
 		}
 		ts.Close()
 		s.CloseWALs()

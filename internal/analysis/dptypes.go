@@ -60,10 +60,10 @@ func methodRecv(pkg *Package, call *ast.CallExpr) (ast.Expr, types.Type) {
 // isTwoPhaseHold reports whether t follows the two-phase hold protocol
 // structurally: Commit and Release protocol methods plus an Amount
 // method returning the held Guarantee. mechanism.Reservation is the
-// in-memory archetype; wal.Txn — the durable intent record that must be
-// settled by a commit or a void — is the durable one. The two-phase flow
-// check holds any such type to settle-exactly-once without keying on its
-// name or import path. Only a Reservation's Commit charges: a durable
+// in-memory archetype; wal.Txn — the WAL transaction that must be
+// settled by a durable commit or a release — is the durable one. The
+// two-phase flow check holds any such type to settle-exactly-once
+// without keying on its name or import path. Only a Reservation's Commit charges: a durable
 // intent's Commit makes an outcome durable, and the spend it records was
 // committed on the accountant.
 func isTwoPhaseHold(t types.Type) bool {

@@ -203,9 +203,12 @@ func (im *srcImporter) Import(path string) (*types.Package, error) {
 	}
 	im.loading[path] = true
 	defer delete(im.loading, path)
+	// An importer needs only the package's declarations: bodies are
+	// type-checked when (and only when) the package itself is analysed.
 	conf := types.Config{
-		Importer: im,
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
+		Importer:         im,
+		Sizes:            types.SizesFor("gc", runtime.GOARCH),
+		IgnoreFuncBodies: true,
 	}
 	pkg, err := conf.Check(path, im.loader.Fset, files, nil)
 	if err != nil {

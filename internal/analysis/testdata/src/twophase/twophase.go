@@ -264,7 +264,7 @@ func DurableCovered(d *Dataset, acct *Accountant, wal *Log, g *RNG) (float64, er
 }
 
 // DurableLeak abandons the durable hold on the fast path: recovery
-// will void the stranded reserve record at next boot, but this process
+// charges nothing for a request that never committed, but this process
 // leaked headroom nothing will settle.
 func DurableLeak(acct *Accountant, wal *Log, m *Mech, fast bool) (float64, error) {
 	tx, err := wal.Begin(acct, m.Guarantee()) // want "reservation leak.*neither committed nor released"

@@ -514,7 +514,7 @@ func (rf *resFlow) escapeWalk(n ast.Node, fact *resFact, exempt map[types.Object
 // isTwoPhaseHold), such as the WAL-logged wal.Txn. A durable hold must
 // obey the same reach-exactly-one-settlement discipline as the
 // in-memory one: a Txn that escapes uncommitted and unreleased is a
-// reserve record recovery will void, i.e. a leaked intent.
+// leaked intent.
 func isReservationType(t types.Type) bool {
 	return namedName(t) == "Reservation" || isTwoPhaseHold(t)
 }

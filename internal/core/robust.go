@@ -194,11 +194,13 @@ func (l *Learner) FitPolicyCtx(ctx context.Context, d *dataset.Dataset, g *rng.R
 	return fit, nil
 }
 
-// widen recalibrates the estimator so the release costs exactly the
+// widen recalibrates the estimator so the release costs at most the
 // remaining budget. The reservation is taken for that exact remainder —
 // not for the recalibrated estimator's recomputed Guarantee, whose low
 // bits may differ after the λ round-trip — so the budget closes to
-// exactly zero with no floating-point residue.
+// exactly zero with no floating-point residue. λ = r·n/(2M) can round
+// so that 2λ·M/n lands above r, so λ steps down an ulp at a time until
+// the released guarantee fits inside the charge.
 func (l *Learner) widen(n int) (*gibbs.Estimator, *mechanism.Reservation, error) {
 	rem, ok := l.cfg.Acct.Remaining()
 	if !ok || rem.Epsilon <= 0 {
@@ -211,6 +213,9 @@ func (l *Learner) widen(n int) (*gibbs.Estimator, *mechanism.Reservation, error)
 	est, err := gibbs.New(l.cfg.Loss, l.cfg.Thetas, l.cfg.LogPrior, lambda)
 	if err != nil {
 		return nil, nil, err
+	}
+	for est.Guarantee(n).Epsilon > rem.Epsilon {
+		est.Lambda = math.Nextafter(est.Lambda, 0)
 	}
 	est.Parallel = l.cfg.Parallel
 	est.Cache = l.cache

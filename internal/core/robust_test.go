@@ -181,6 +181,53 @@ func TestFitWidenPolicy(t *testing.T) {
 	}
 }
 
+// TestFitWidenReleasesAtMostItsCharge pins DegradeWiden's bound over
+// many (budget, spent, n): the widened fit is charged the exact
+// remainder r, the guarantee it releases — the certificate's ε — is at
+// most r, and the books close to exactly zero. λ = r·n/(2M) alone can
+// round so that 2λ·M/n lands above r. spent is drawn from
+// [budget/2, budget), where budget − spent is exact (Sterbenz), so one
+// charge of r closes the books.
+func TestFitWidenReleasesAtMostItsCharge(t *testing.T) {
+	g := rng.New(24)
+	model := dataset.LogisticModel{Weights: []float64{3}, Bias: 0}
+	for i := 0; i < 300; i++ {
+		n := 1 + g.Intn(1000)
+		budget := 4 * (1 - g.Float64())
+		spent := budget * (0.5 + g.Float64()/2)
+		if spent >= budget {
+			continue
+		}
+		var acct mechanism.Accountant
+		if err := acct.SetBudget(mechanism.Guarantee{Epsilon: budget}); err != nil {
+			t.Fatal(err)
+		}
+		acct.Spend(mechanism.Guarantee{Epsilon: spent})
+		r, _ := acct.Remaining()
+		cfg := classifierConfig(2 * budget) // a full-price fit never fits the remainder
+		cfg.Acct = &acct
+		cfg.Degrade = DegradeWiden
+		l, err := NewLearner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fit, err := l.Fit(model.Generate(n, g), g)
+		if err != nil {
+			t.Fatalf("case %d (budget=%v spent=%v n=%d): widened fit: %v", i, budget, spent, n, err)
+		}
+		if !fit.Degraded {
+			t.Fatalf("case %d: fit not widened", i)
+		}
+		if eps := fit.Certificate.Privacy.Epsilon; eps > r.Epsilon {
+			t.Fatalf("case %d (budget=%v spent=%v n=%d): released ε=%.17g above its charge r=%.17g", i, budget, spent, n, eps, r.Epsilon)
+		}
+		//dplint:ignore floateq the widened charge must close the books exactly
+		if rem, _ := acct.Remaining(); rem.Epsilon != 0 {
+			t.Fatalf("case %d (budget=%v spent=%v n=%d): %.17g ε left after the widened fit", i, budget, spent, n, rem.Epsilon)
+		}
+	}
+}
+
 // TestFitCtxCanceled pins that a canceled fit spends nothing and leaves
 // no outstanding reservation.
 func TestFitCtxCanceled(t *testing.T) {

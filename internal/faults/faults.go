@@ -34,22 +34,20 @@ const (
 	CheckpointWrite Class = "checkpoint-write"
 
 	// The WALCrash* classes hard-abort a served request at each phase
-	// boundary of the write-ahead ledger's two-phase protocol, exercising
-	// recovery's settle-every-reserve guarantee. Each fires as a
+	// boundary of the write-ahead ledger's commit protocol, exercising
+	// recovery's charge-exactly-the-commits guarantee. Each fires as a
 	// simulated process death: the tenant's WAL is frozen (no further
 	// appends, as if the fd died with the process) and the handler
 	// aborts, so the on-disk state is exactly what a kill at that
 	// boundary would leave.
 	//
-	// WALCrashPreReserve aborts before the reserve record is written —
-	// no WAL evidence; the request simply never happened.
-	WALCrashPreReserve Class = "wal-crash-pre-reserve"
-	// WALCrashPostReserve aborts after the reserve record is durable but
-	// before the mechanism runs — recovery must void the orphan.
-	WALCrashPostReserve Class = "wal-crash-post-reserve"
+	// WALCrashPreRelease aborts after the WAL transaction is opened but
+	// before the mechanism runs — nothing is on disk; the request simply
+	// never happened.
+	WALCrashPreRelease Class = "wal-crash-pre-release"
 	// WALCrashPreCommit aborts after the mechanism ran (noise drawn,
 	// in-memory books charged) but before the commit record is durable —
-	// the response never escaped, so recovery must void, not charge.
+	// the response never escaped, so recovery must charge nothing.
 	WALCrashPreCommit Class = "wal-crash-pre-commit"
 	// WALCrashPostCommit aborts after the commit record is durable but
 	// before the response bytes are written — the charge must survive
@@ -61,12 +59,12 @@ const (
 // Classes lists every fault family the battery covers.
 var Classes = []Class{
 	WorkerPanic, BudgetDeny, NaNRisk, CheckpointWrite,
-	WALCrashPreReserve, WALCrashPostReserve, WALCrashPreCommit, WALCrashPostCommit,
+	WALCrashPreRelease, WALCrashPreCommit, WALCrashPostCommit,
 }
 
 // WALCrashes lists the WAL phase-boundary abort classes in protocol
 // order, for batteries that sweep every boundary.
-var WALCrashes = []Class{WALCrashPreReserve, WALCrashPostReserve, WALCrashPreCommit, WALCrashPostCommit}
+var WALCrashes = []Class{WALCrashPreRelease, WALCrashPreCommit, WALCrashPostCommit}
 
 // ErrInjected marks an injected failure, so tests can tell a planned
 // fault from a genuine defect with errors.Is.

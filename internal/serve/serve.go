@@ -137,8 +137,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.WALDir != "" {
 		// Recovery before traffic: replay each tenant's surviving WAL,
 		// rebuild its accountant bit-identically (verified against
-		// ComposeBasic), settle stranded reserves, restore idempotency
-		// outcomes. A tenant whose books cannot be audited fails the boot.
+		// ComposeBasic), restore idempotency outcomes. A tenant whose
+		// books cannot be audited fails the boot.
 		for _, t := range reg.Tenants() {
 			rep, err := s.attachWAL(t, cfg.WALDir)
 			if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"path/filepath"
 	"sync"
@@ -30,47 +31,40 @@ const replayedHeader = "Idempotency-Replayed"
 // both would risk a double release. Mapped to 409.
 var errDuplicateKey = errors.New("serve: idempotency key already in flight")
 
-// idemOutcome is one settled response held for replay.
-type idemOutcome struct {
-	status      int
-	fingerprint string
-	body        []byte
-}
-
 // idemStore is a tenant's idempotency index: settled outcomes by client
 // key (for replay) plus the keys currently in flight (to refuse a
 // concurrent duplicate with 409 instead of racing two releases). The
-// durable copy of the settled outcomes lives on the WAL's commit
+// durable copy of the settled outcomes lives on the WAL's keyed commit
 // records; this is the in-memory view, rebuilt by recovery — so the
 // store works across restarts exactly when a WAL is attached, and
 // within one process lifetime without one.
 type idemStore struct {
 	mu       sync.Mutex
-	done     map[string]idemOutcome
+	done     map[string]wal.ReplayOutcome
 	inflight map[string]bool
 }
 
 func newIdemStore() *idemStore {
-	return &idemStore{done: make(map[string]idemOutcome), inflight: make(map[string]bool)}
+	return &idemStore{done: make(map[string]wal.ReplayOutcome), inflight: make(map[string]bool)}
 }
 
 // claim resolves a key: a settled outcome replays, an in-flight key is
 // refused, a fresh key is claimed (the caller must settle or abandon).
-func (st *idemStore) claim(key string) (out idemOutcome, replay bool, err error) {
+func (st *idemStore) claim(key string) (out wal.ReplayOutcome, replay bool, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if o, ok := st.done[key]; ok {
 		return o, true, nil
 	}
 	if st.inflight[key] {
-		return idemOutcome{}, false, fmt.Errorf("%w: %q", errDuplicateKey, key)
+		return wal.ReplayOutcome{}, false, fmt.Errorf("%w: %q", errDuplicateKey, key)
 	}
 	st.inflight[key] = true
-	return idemOutcome{}, false, nil
+	return wal.ReplayOutcome{}, false, nil
 }
 
 // settle records the committed outcome and releases the in-flight claim.
-func (st *idemStore) settle(key string, out idemOutcome) {
+func (st *idemStore) settle(key string, out wal.ReplayOutcome) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.done[key] = out
@@ -90,9 +84,7 @@ func (st *idemStore) abandon(key string) {
 func (st *idemStore) restore(outs map[string]wal.ReplayOutcome) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for k, o := range outs {
-		st.done[k] = idemOutcome{status: o.Status, fingerprint: o.Fingerprint, body: o.Response}
-	}
+	maps.Copy(st.done, outs)
 }
 
 // RecoveryReport summarizes one tenant's WAL recovery at boot.
@@ -102,11 +94,6 @@ type RecoveryReport struct {
 	// number of guarantees they carried (one commit may hold several).
 	Commits int `json:"commits"`
 	Charges int `json:"charges"`
-	// Voided counts reserves the log had settled with explicit voids;
-	// Unsettled counts the in-flight reserves the crash stranded, which
-	// recovery settled as voids (their releases never escaped).
-	Voided    int `json:"voided"`
-	Unsettled int `json:"unsettled"`
 	// RestoredKeys is the number of idempotency outcomes restored.
 	RestoredKeys int `json:"restored_keys"`
 	// Epsilon and Delta are the recovered canonical composition —
@@ -120,12 +107,11 @@ type RecoveryReport struct {
 // dir, replays it to rebuild the accountant, and wires the log into the
 // tenant. Replay drives every recovered charge through SpendDetail — the
 // same observer path live commits take — so the privacy ledger books
-// the recovered spends and CrossCheck holds from the first request. The rebuilt composition is verified bit-for-bit against
-// obs.ComposeBasic of the commit records' charges; a mismatch fails the
-// boot, because books that cannot be audited must not serve. Stranded
-// reserves are settled with explicit void records, so recovery itself
-// is idempotent: a second replay of the repaired log reaches the same
-// state.
+// the recovered spends and CrossCheck holds from the first request. The
+// rebuilt composition is verified bit-for-bit against obs.ComposeBasic
+// of the commit records' charges; a mismatch fails the boot, because
+// books that cannot be audited must not serve. Past Open's tail repair
+// recovery writes nothing, so a second replay reaches the same state.
 func (s *Server) attachWAL(t *Tenant, dir string) (RecoveryReport, error) {
 	rep := RecoveryReport{Tenant: t.ID}
 	l, recs, err := wal.Open(filepath.Join(dir, t.ID+".wal"))
@@ -153,17 +139,9 @@ func (s *Server) attachWAL(t *Tenant, dir string) (RecoveryReport, error) {
 		return rep, fmt.Errorf("serve: tenant %s: recovered accountant composes to (%.17g, %.17g), WAL commits to (%.17g, %.17g)",
 			t.ID, g.Epsilon, g.Delta, ce, cd)
 	}
-	for _, res := range st.Unsettled {
-		if _, err := l.Append(wal.Record{Op: wal.OpVoid, Ref: res.LSN}); err != nil {
-			_ = l.Close()
-			return rep, fmt.Errorf("serve: tenant %s: settling stranded reserve %d: %w", t.ID, res.LSN, err)
-		}
-	}
 	t.idem.restore(st.Outcomes)
 	rep.Commits = len(st.Commits)
 	rep.Charges = len(eps)
-	rep.Voided = st.Voided
-	rep.Unsettled = len(st.Unsettled)
 	rep.RestoredKeys = len(st.Outcomes)
 	rep.Epsilon = g.Epsilon
 	rep.Delta = g.Delta
@@ -183,8 +161,6 @@ func (s *Server) attachWAL(t *Tenant, dir string) (RecoveryReport, error) {
 	})
 	mreg.Gauge("dplearn_wal_recovered_commits",
 		"commit records replayed at the last recovery", "tenant", t.ID).Set(float64(rep.Commits))
-	mreg.Gauge("dplearn_wal_recovered_voids",
-		"stranded reserves settled as voids at the last recovery", "tenant", t.ID).Set(float64(rep.Unsettled))
 	mreg.Gauge("dplearn_wal_recovered_epsilon",
 		"canonically composed ε rebuilt from the WAL at the last recovery", "tenant", t.ID).Set(rep.Epsilon)
 	t.wal = l
@@ -227,28 +203,28 @@ func (s *Server) crash(c faults.Class, key int, t *Tenant) {
 //
 //  1. idempotency: a settled key replays the stored response (no second
 //     charge, across restarts); an in-flight key is refused with 409.
-//  2. a reserve record is appended and fsynced BEFORE the body runs —
-//     before admission, before any noise — so a crash anywhere past
-//     this point leaves durable evidence of the in-flight intent.
+//  2. the WAL transaction is opened; it holds the intent in memory and
+//     writes nothing. A poisoned log (a failed write or fsync) refuses
+//     here with a 5xx, before admission and before any noise.
 //  3. the body runs: in-memory admission (429 on refusal), the
 //     mechanism, the in-memory two-phase commit. Every guarantee it
 //     commits lands in the request's charge scope (see instrument).
-//  4. the response is marshaled, and a commit record carrying its
-//     status, fingerprint, body, and the scope's exact charges is
-//     appended and fsynced BEFORE any response byte reaches the
-//     client. A crash after the in-memory commit but before this
-//     point loses only state a crash erases anyway — and since the
-//     response never escaped, recovery correctly settles the reserve
-//     as void: by the information-theoretic reading, an emission that
-//     never happened leaks nothing and costs nothing.
+//  4. the response is marshaled, and the request's one commit record —
+//     its intent, status and the scope's exact charges, plus the body
+//     when the request is keyed — is appended and fsynced BEFORE any
+//     response byte reaches the client. A crash before this point
+//     loses only state a crash erases anyway — and since the response
+//     never escaped, recovery finds no commit and charges nothing: by
+//     the information-theoretic reading, an emission that never
+//     happened leaks nothing and costs nothing.
 //  5. only then do the bytes escape. If the durable commit fails
 //     without a crash, the client gets a 5xx and the in-memory charge
 //     stands — conservative over-counting, never under-counting.
 //
-// Every error path settles the WAL transaction as void via the deferred
-// Release; a crash leaves the reserve unsettled, which recovery treats
-// identically. Commit-xor-5xx therefore survives reboots: a client
-// holds response bytes if and only if the WAL holds the commit record.
+// A refusal, an error or a crash leaves no record at all; the deferred
+// Release settles the transaction without writing. Commit-xor-5xx
+// therefore survives reboots: a client holds response bytes if and
+// only if the WAL holds the commit record.
 //
 // With no WAL attached (t.wal == nil) every WAL call is a no-op and the
 // flow — including idempotent replay within the process lifetime — is
@@ -269,7 +245,7 @@ func (s *Server) durable(w http.ResponseWriter, r *http.Request, t *Tenant, endp
 				"requests served from the durable idempotency store", "tenant", t.ID).Inc()
 			ai.setOutcome("replayed")
 			w.Header().Set(replayedHeader, "true")
-			s.writeRaw(w, out.status, out.body)
+			s.writeRaw(w, out.Status, out.Response)
 			return
 		}
 		// The claim must not outlive the request: settle stores the
@@ -284,14 +260,13 @@ func (s *Server) durable(w http.ResponseWriter, r *http.Request, t *Tenant, endp
 // serveDurable is the envelope past the idempotency gate; split out so
 // the claim's abandon/settle pairing in durable stays readable.
 func (s *Server) serveDurable(w http.ResponseWriter, r *http.Request, t *Tenant, endpoint string, seed int64, quoted float64, key string, body func(ctx context.Context, t *Tenant) (any, error)) {
-	s.crash(faults.WALCrashPreReserve, int(seed), t)
 	tx, err := t.wal.Begin(wal.Intent{Endpoint: endpoint, Key: key, Seed: seed, Epsilon: quoted})
 	if err != nil {
 		s.writeError(w, r, t.ID, err)
 		return
 	}
 	defer tx.Release()
-	s.crash(faults.WALCrashPostReserve, int(seed), t)
+	s.crash(faults.WALCrashPreRelease, int(seed), t)
 	payload, err := body(r.Context(), t)
 	if err != nil {
 		s.writeError(w, r, t.ID, err)
@@ -317,11 +292,7 @@ func (s *Server) serveDurable(w http.ResponseWriter, r *http.Request, t *Tenant,
 	}
 	s.crash(faults.WALCrashPostCommit, int(seed), t)
 	if key != "" {
-		t.idem.settle(key, idemOutcome{
-			status:      http.StatusOK,
-			fingerprint: wal.Fingerprint(buf.Bytes()),
-			body:        buf.Bytes(),
-		})
+		t.idem.settle(key, wal.ReplayOutcome{Status: http.StatusOK, Response: buf.Bytes()})
 	}
 	s.writeRaw(w, http.StatusOK, buf.Bytes())
 }

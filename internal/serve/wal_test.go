@@ -54,23 +54,20 @@ func readWALRecords(t *testing.T, path string) []wal.Record {
 	return recs
 }
 
-// commitsForKey returns the commit records that settle reserves carrying
-// the given idempotency key (the key lives on the reserve; commits point
-// back via Ref).
+// commitsForKey returns the commit records carrying the given
+// idempotency key: the commit's own, or — in a log written before
+// commits carried their intent — that of the reserve its Ref names.
 func commitsForKey(recs []wal.Record, key string) []wal.Record {
-	reserves := make(map[uint64]wal.Record)
-	for _, r := range recs {
-		if r.Op == wal.OpReserve {
-			reserves[r.LSN] = r
-		}
-	}
+	reserveKeys := make(map[uint64]string)
 	var out []wal.Record
 	for _, r := range recs {
-		if r.Op != wal.OpCommit {
-			continue
-		}
-		if res, ok := reserves[r.Ref]; ok && res.Key == key {
-			out = append(out, r)
+		switch r.Op {
+		case wal.OpReserve:
+			reserveKeys[r.LSN] = r.Key
+		case wal.OpCommit:
+			if r.Key == key || r.Key == "" && reserveKeys[r.Ref] == key {
+				out = append(out, r)
+			}
 		}
 	}
 	return out
@@ -226,6 +223,14 @@ func TestWALCrashChaosEveryBoundary(t *testing.T) {
 				}
 				ts1.Close()
 				_ = s1 // abandoned without drain or CloseWALs: that is the crash
+				// Only a crash after the durable commit leaves a record.
+				crashed, err := os.ReadFile(walPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if class != faults.WALCrashPostCommit && len(crashed) != 0 {
+					t.Fatalf("%s left %q on the WAL, want no record at all", class, crashed)
+				}
 
 				// Phase 2: reboot on the same WAL directory.
 				s2, ts2 := newTestService(t, Config{Tenants: walTenant(10), WALDir: dir})
@@ -241,17 +246,9 @@ func TestWALCrashChaosEveryBoundary(t *testing.T) {
 					}
 				} else {
 					// Nothing escaped and nothing durable committed: the
-					// recovered books must be empty, the stranded reserve (if
-					// the crash came after it) settled as void.
-					if rep.Commits != 0 || rec.Epsilon != 0 { //dplint:ignore floateq an uncommitted crash must recover to the exact zero spend
-						t.Fatalf("%s recovery: %+v, recovered ε=%g; want no commits, ε=0", class, rep, rec.Epsilon)
-					}
-					wantUnsettled := 1
-					if class == faults.WALCrashPreReserve {
-						wantUnsettled = 0 // crashed before the reserve record existed
-					}
-					if rep.Unsettled != wantUnsettled {
-						t.Fatalf("%s recovery: %d unsettled reserve(s), want %d", class, rep.Unsettled, wantUnsettled)
+					// recovered books must be empty.
+					if rep.Commits != 0 || rep.RestoredKeys != 0 || rec.Epsilon != 0 { //dplint:ignore floateq an uncommitted crash must recover to the exact zero spend
+						t.Fatalf("%s recovery: %+v, recovered ε=%g; want no commits, no keys, ε=0", class, rep, rec.Epsilon)
 					}
 				}
 
@@ -282,17 +279,17 @@ func TestWALCrashChaosEveryBoundary(t *testing.T) {
 				ts2.Close()
 				s2.CloseWALs()
 
-				// Forensics on the log itself: exactly one commit settles the
-				// key, its fingerprint matches the bytes the client holds,
-				// and the commit multiset recomposes the final books bit for
-				// bit.
+				// Forensics on the log itself: it holds exactly one record,
+				// the commit of the key, carrying exactly the bytes the
+				// client holds, and the commit multiset recomposes the final
+				// books bit for bit.
 				recs := readWALRecords(t, walPath)
 				commits := commitsForKey(recs, key)
-				if len(commits) != 1 {
-					t.Fatalf("key %q settled by %d commit(s), want exactly 1", key, len(commits))
+				if len(recs) != 1 || len(commits) != 1 {
+					t.Fatalf("key %q: %d record(s), %d commit(s) of the key; want exactly 1 commit", key, len(recs), len(commits))
 				}
-				if got, want := commits[0].Fingerprint, wal.Fingerprint(body2); got != want {
-					t.Fatalf("commit fingerprint %s, client holds body hashing to %s", got, want)
+				if !bytes.Equal(commits[0].Response, body2) {
+					t.Fatalf("commit response %q, client holds %q", commits[0].Response, body2)
 				}
 				st := wal.Replay(recs)
 				ce, cd := composedOf(st.Charges())
@@ -320,7 +317,8 @@ func TestWALCrashChaosEveryBoundary(t *testing.T) {
 
 // TestWALKillRestartCycles runs a supervisor loop: each cycle serves
 // fresh keyed traffic, then a chaos server hard-kills one request at
-// that cycle's WAL phase boundary (plus a torn-tail scribble on the log,
+// that cycle's WAL phase boundary — every boundary twice, in protocol
+// order — (plus a torn-tail scribble on the log,
 // as a kill mid-write would leave), and the next cycle reboots onto the
 // same directory. Across every restart the recovered ε must equal the
 // canonical composition of the expected charge multiset bit for bit,
@@ -330,7 +328,7 @@ func TestWALKillRestartCycles(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "alpha.wal")
 	data := testData(7, 24, 2)
-	const budget = 8.0
+	const budget = 12.0
 	const perFit = 0.5 // LearnerSpec default ε
 
 	// expected accumulates the charge multiset a perfect observer would
@@ -340,7 +338,9 @@ func TestWALKillRestartCycles(t *testing.T) {
 	var crashedKey string
 	var crashedCharged bool
 
-	for cycle, class := range faults.WALCrashes {
+	cycles := 2 * len(faults.WALCrashes)
+	for cycle := 0; cycle < cycles; cycle++ {
+		class := faults.WALCrashes[cycle%len(faults.WALCrashes)]
 		// Reboot: recovery must reproduce the expected books bit for bit.
 		s, ts := newTestService(t, Config{Tenants: walTenant(budget), WALDir: dir})
 		tn := getAlpha(t, s)
@@ -454,7 +454,7 @@ func TestWALKillRestartCycles(t *testing.T) {
 
 	// Every kill-cycle key settled with exactly one commit.
 	recs := readWALRecords(t, walPath)
-	for cycle := range faults.WALCrashes {
+	for cycle := 0; cycle < cycles; cycle++ {
 		key := "kill-" + string(rune('0'+cycle))
 		if got := len(commitsForKey(recs, key)); got != 1 {
 			t.Errorf("key %q settled by %d commit(s), want exactly 1", key, got)
@@ -480,6 +480,79 @@ func TestWALKillRestartCycles(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dst, "recovery_report.json"), rep, 0o644); err != nil {
 			t.Fatalf("artifacts: %v", err)
 		}
+	}
+}
+
+// TestWALOneRecordPerCharge pins the commit log's shape at the server:
+// a spending request that answers 2xx appends exactly one record with
+// one fsync, and stores no response when it carried no key; a request
+// refused with 429, keyed or not, leaves the WAL file and the append
+// and fsync counters untouched; and a request on a failed log answers
+// 5xx before admission.
+func TestWALOneRecordPerCharge(t *testing.T) {
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "alpha.wal")
+	s, ts := newTestService(t, Config{Tenants: walTenant(1), WALDir: dir})
+	reg := s.obs.Reg()
+	appends := reg.Counter("dplearn_wal_appends_total", "write-ahead ledger records appended", "tenant", "alpha")
+	fsyncs := reg.Counter("dplearn_wal_fsync_total", "write-ahead ledger fsyncs", "tenant", "alpha")
+	data := testData(19, 24, 2)
+	summary := func(eps float64) SummaryRequest {
+		return SummaryRequest{Tenant: "alpha", Seed: 3, Feature: 0, Lo: -1, Hi: 1,
+			Quantiles: []float64{0.5}, Epsilon: eps, Data: data}
+	}
+
+	if resp, body := postJSON(t, ts.URL+"/v1/summary", summary(0.4)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("summary: HTTP %d: %s", resp.StatusCode, body)
+	}
+	if a, f := appends.Value(), fsyncs.Value(); a != 1 || f != 1 {
+		t.Fatalf("a 2xx moved appends by %d and fsyncs by %d, want 1 and 1", a, f)
+	}
+	before, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/summary", summary(0.9)); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-budget summary: HTTP %d: %s, want 429", resp.StatusCode, body)
+	}
+	if resp, body := postKeyed(t, ts.URL+"/v1/summary", summary(0.9), "refused"); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("keyed over-budget summary: HTTP %d: %s, want 429", resp.StatusCode, body)
+	}
+	after, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("429s changed the WAL:\n before %q\n after  %q", before, after)
+	}
+	if a, f := appends.Value(), fsyncs.Value(); a != 1 || f != 1 {
+		t.Fatalf("after two 429s: appends=%d fsyncs=%d, want 1 and 1", a, f)
+	}
+	// A failed log (Freeze sets the same sticky error a failed write
+	// does) refuses before admission: 5xx, no noise drawn, nothing held
+	// or charged.
+	tn := getAlpha(t, s)
+	tn.wal.Freeze()
+	if resp, body := postJSON(t, ts.URL+"/v1/summary", summary(0.1)); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("summary on a failed log: HTTP %d: %s, want 500", resp.StatusCode, body)
+	}
+	if n, held := tn.Acct.Count(), tn.Acct.Reserved(); n != 1 || held != 0 {
+		t.Fatalf("a failed log's request left %d spend(s) and %d hold(s), want 1 and 0", n, held)
+	}
+	checkBooks(t, tn)
+	ts.Close()
+	s.CloseWALs()
+
+	recs := readWALRecords(t, walPath)
+	if len(recs) != 1 {
+		t.Fatalf("WAL holds %d records, want the one commit", len(recs))
+	}
+	c := recs[0]
+	if c.Op != wal.OpCommit || c.Endpoint != "summary" || c.Seed != 3 || c.Key != "" || len(c.Charges) == 0 {
+		t.Fatalf("commit %+v, want the unkeyed summary's charges", c)
+	}
+	if c.Response != nil {
+		t.Fatalf("unkeyed commit stores a %d-byte response, want none", len(c.Response))
 	}
 }
 

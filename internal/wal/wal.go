@@ -1,39 +1,42 @@
 // Package wal is the write-ahead privacy ledger: an append-only,
-// fsync-on-append NDJSON intent log that makes per-tenant budget state
+// fsync-on-append NDJSON commit log that makes per-tenant budget state
 // crash-recoverable. It reopens through package checkpoint's torn-tail
-// repair (ScanRepair) and layers a two-phase record protocol shaped after
-// the accountant's Reserve/Commit over it:
+// repair (ScanRepair) and writes one record per charged request:
 //
-//   - a "reserve" record is durable (written and fsynced) before the
-//     mechanism runs, so a crash mid-release leaves evidence of the
-//     in-flight intent;
-//   - a "commit" record — carrying the exact committed guarantees, the
-//     response status, and the response fingerprint — is durable before
-//     the noised response bytes reach the client, so a value can only
-//     have escaped the process if its charge survived the crash;
-//   - a "void" record settles an abandoned reserve (admission refusal,
-//     release error, drain); a reserve with no settling record is the
-//     signature of a crash, and recovery treats it exactly like a void:
-//     the release never escaped, so — by the DP-as-channel reading —
-//     nothing leaked and nothing is charged.
+//   - Log.Begin opens a transaction that holds the request's intent in
+//     memory and writes nothing;
+//   - Txn.Commit writes and fsyncs one "commit" record — the intent, the
+//     response status and the exact committed guarantees — before the
+//     noised response bytes reach the client, so a value can only have
+//     escaped the process if its charge survived the crash;
+//   - Txn.Release writes nothing: a request with no commit record never
+//     released anything, so — by the DP-as-channel reading — nothing
+//     leaked and nothing is charged, whether it was refused, failed or
+//     crashed.
 //
-// Recovery (Replay) therefore settles every in-flight request safely:
-// commit present → charge the exact logged guarantees; reserve without
-// commit → void. Replaying the commit charges through SpendDetail
-// rebuilds an Accountant bit-identically: both sides round the exact
-// sum of the same guarantee multiset with one routine (mathx.ExactSum),
-// so the recovered composition equals obs.ComposeBasic of the WAL's
-// commit records bit for bit.
+// Recovery (Replay) charges every commit. Replaying the commit charges
+// through SpendDetail rebuilds an Accountant bit-identically: both
+// sides round the exact sum of the same guarantee multiset with one
+// routine (mathx.ExactSum), so the recovered composition equals
+// obs.ComposeBasic of the WAL's commit records bit for bit.
 //
 // Commit records double as the durable idempotency store: a commit
-// carrying a client Idempotency-Key pins the response fingerprint and
-// body, so a retried request replays the original outcome — across
-// restarts — without re-spending ε.
+// whose request carried a client Idempotency-Key also stores the
+// response body, so a retried request replays the original outcome —
+// across restarts — without re-spending ε.
+//
+// The first failed write or fsync poisons the log: a failed write may
+// leave a record prefix that the next record would merge into, and
+// after a failed fsync the kernel may drop the dirty pages and report
+// success on the next one. Every later Append and Begin returns that
+// error until the process restarts and Open repairs the tail.
+//
+// Logs written before commits carried their intent hold a "reserve"
+// record per request, which a commit names by Ref; Replay reads such a
+// reserve only for the key of the commit that names it.
 package wal
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,15 +52,13 @@ import (
 type Op string
 
 const (
-	// OpReserve logs the intent to run a release before any noise is
-	// drawn.
+	// OpReserve is the intent record of the log format in which a
+	// request's intent was written before its release; the server
+	// writes only commits.
 	OpReserve Op = "reserve"
-	// OpCommit settles a reserve as charged: the release succeeded and
-	// its response is about to escape.
+	// OpCommit makes a request's outcome and exact charges durable: the
+	// release succeeded and its response is about to escape.
 	OpCommit Op = "commit"
-	// OpVoid settles a reserve as abandoned: nothing escaped, nothing is
-	// charged.
-	OpVoid Op = "void"
 )
 
 // ErrFrozen reports an append to a frozen log. Freeze simulates the
@@ -66,9 +67,10 @@ const (
 // records a real crash would have lost.
 var ErrFrozen = errors.New("wal: log frozen (simulated crash)")
 
-// ErrAppend reports a failure to persist a WAL record. The serve layer
-// maps it to a 5xx without committing in memory, so a client never
-// holds a response whose charge is not durable.
+// ErrAppend reports a failure to persist a WAL record; after a failed
+// write or fsync every later Append and Begin returns it. The serve
+// layer maps it to a 5xx, so a client never holds a response whose
+// charge is not durable.
 var ErrAppend = errors.New("wal: append failed")
 
 // Charge is one exact committed guarantee with its ledger metadata —
@@ -91,45 +93,48 @@ type Record struct {
 	// LSN is the log sequence number: strictly increasing per log, so
 	// recovery replays in arrival order.
 	LSN uint64 `json:"lsn"`
-	// Ref names the reserve LSN a commit or void settles.
+	// Ref names the reserve record whose intent a commit settles, in
+	// logs written before commits carried their intent.
 	Ref uint64 `json:"ref,omitempty"`
 	// Key is the client-supplied Idempotency-Key ("" when the request
 	// carried none).
 	Key string `json:"key,omitempty"`
-	// Endpoint and Seed identify the request for the recovery report.
+	// Endpoint and Seed identify the request.
 	Endpoint string `json:"endpoint,omitempty"`
 	Seed     int64  `json:"seed,omitempty"`
-	// Epsilon is the quoted price at reserve time (advisory; the exact
-	// charges live on the commit record).
+	// Epsilon is the quoted price (advisory; the exact charges are in
+	// Charges).
 	Epsilon float64 `json:"epsilon,omitempty"`
-	// Status, Fingerprint, and Response pin the committed outcome for
-	// idempotent replay: the HTTP status, the sha256 of the response
-	// body, and the body itself. Response is stored base64 so a replay
-	// returns the escaped bytes exactly (down to the trailing newline
-	// the server's encoder emits), matching the fingerprint bit for bit.
-	Status      int    `json:"status,omitempty"`
-	Fingerprint string `json:"fingerprint,omitempty"`
-	Response    []byte `json:"response,omitempty"`
+	// Status is the committed HTTP status. Response is the response
+	// body, stored only when Key is set, because only keyed outcomes
+	// are replayed; it is stored base64 so a replay returns the escaped
+	// bytes exactly (down to the trailing newline the server's encoder
+	// emits).
+	Status   int    `json:"status,omitempty"`
+	Response []byte `json:"response,omitempty"`
 	// Charges are the exact guarantees this request committed (empty for
 	// a free outcome such as a fallback-degraded fit).
 	Charges []Charge `json:"charges,omitempty"`
 }
 
-// Fingerprint returns the hex sha256 of a response body — the commit
-// record's idempotency fingerprint.
-func Fingerprint(body []byte) string {
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:])
+// file is what a Log writes through: an *os.File, or a test double
+// that fails on demand.
+type file interface {
+	Write([]byte) (int, error)
+	Sync() error
+	Close() error
 }
 
 // Log is one tenant's open write-ahead ledger. All methods are safe for
 // concurrent use and nil-safe: a nil *Log accepts every append as a
 // no-op, so WAL-disabled servers run the identical code path.
 type Log struct {
-	mu     sync.Mutex
-	f      *os.File
-	lsn    uint64
-	frozen bool
+	mu  sync.Mutex
+	f   file
+	lsn uint64
+	// err is sticky: the first failed write or fsync (wrapped in
+	// ErrAppend), or ErrFrozen, fails every later Append and Begin.
+	err error
 
 	// onAppend and onSync feed observability (fsync and append counters)
 	// without the wal package importing the metrics registry.
@@ -180,7 +185,7 @@ func (l *Log) SetHooks(onAppend func(Record), onSync func(error)) {
 	l.onAppend, l.onSync = onAppend, onSync
 }
 
-// Freeze drops every subsequent append on the floor (ErrFrozen),
+// Freeze fails every subsequent Append and Begin with ErrFrozen,
 // simulating the file descriptor dying with a crashed process. The
 // chaos battery calls it at an injected crash point so the deferred
 // cleanup of the "crashed" request cannot write records a real crash
@@ -191,20 +196,22 @@ func (l *Log) Freeze() {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.frozen = true
+	l.err = ErrFrozen
 }
 
 // Append assigns the next LSN, writes the record as one NDJSON line in
 // a single Write call, and fsyncs before returning — the record is
-// durable when Append returns nil. Returns the assigned LSN.
+// durable when Append returns nil. Returns the assigned LSN. A failed
+// write or fsync poisons the log: this and every later Append returns
+// the same error.
 func (l *Log) Append(rec Record) (uint64, error) {
 	if l == nil {
 		return 0, nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.frozen {
-		return 0, ErrFrozen
+	if l.err != nil {
+		return 0, l.err
 	}
 	l.lsn++
 	rec.LSN = l.lsn
@@ -213,7 +220,8 @@ func (l *Log) Append(rec Record) (uint64, error) {
 		return 0, fmt.Errorf("%w: marshal: %v", ErrAppend, err)
 	}
 	if _, err := l.f.Write(append(line, '\n')); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrAppend, err)
+		l.err = fmt.Errorf("%w: %w", ErrAppend, err)
+		return 0, l.err
 	}
 	if l.onAppend != nil {
 		l.onAppend(rec)
@@ -223,7 +231,8 @@ func (l *Log) Append(rec Record) (uint64, error) {
 		l.onSync(err)
 	}
 	if err != nil {
-		return 0, fmt.Errorf("%w: fsync: %v", ErrAppend, err)
+		l.err = fmt.Errorf("%w: fsync: %w", ErrAppend, err)
+		return 0, l.err
 	}
 	return rec.LSN, nil
 }
@@ -246,7 +255,7 @@ type Outcome struct {
 	Charges  []Charge
 }
 
-// Intent identifies the request behind a reserve record.
+// Intent identifies the request a Txn commits.
 type Intent struct {
 	Endpoint string
 	Key      string
@@ -256,8 +265,8 @@ type Intent struct {
 	Epsilon float64
 }
 
-// Txn is one two-phase WAL transaction: a durable intent that must be
-// settled by exactly one Commit or Release on every path, mirroring
+// Txn is one two-phase WAL transaction: an intent that must be settled
+// by exactly one Commit or Release on every path, mirroring
 // mechanism.Reservation's protocol. It holds no budget — admission and
 // the charge itself stay on the accountant — so its Commit charges
 // nothing; it makes the request's outcome durable. The zero-value
@@ -265,33 +274,27 @@ type Intent struct {
 // no-op.
 type Txn struct {
 	log *Log
-	lsn uint64
-	g   mechanism.Guarantee
+	it  Intent
 
 	mu      sync.Mutex
 	settled bool
 }
 
-// Begin durably logs the intent to run a release (reserve record,
-// fsynced) and returns the transaction to settle. On a nil log it
-// returns a no-op transaction, so WAL-disabled callers run unchanged.
+// Begin opens the transaction for one release. It writes nothing: the
+// intent rides the commit record. On a poisoned or frozen log it
+// returns the log's sticky error, so the caller refuses before any
+// noise is drawn. On a nil log it returns a no-op transaction, so
+// WAL-disabled callers run unchanged.
 func (l *Log) Begin(it Intent) (*Txn, error) {
-	tx := &Txn{log: l, g: mechanism.Guarantee{Epsilon: it.Epsilon}}
-	if l == nil {
-		return tx, nil
+	if l != nil {
+		l.mu.Lock()
+		err := l.err
+		l.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
 	}
-	lsn, err := l.Append(Record{
-		Op:       OpReserve,
-		Key:      it.Key,
-		Endpoint: it.Endpoint,
-		Seed:     it.Seed,
-		Epsilon:  it.Epsilon,
-	})
-	if err != nil {
-		return nil, err
-	}
-	tx.lsn = lsn
-	return tx, nil
+	return &Txn{log: l, it: it}, nil
 }
 
 // Amount returns the intent's quoted guarantee. The Commit/Release plus
@@ -301,16 +304,17 @@ func (tx *Txn) Amount() mechanism.Guarantee {
 	if tx == nil {
 		return mechanism.Guarantee{}
 	}
-	return tx.g
+	return mechanism.Guarantee{Epsilon: tx.it.Epsilon}
 }
 
-// Commit settles the transaction as committed: the commit record —
-// status, response fingerprint and body, the exact charges in
-// out.Charges — is written and fsynced before Commit returns, so if it
-// returns nil the outcome is on disk before any response byte can
-// escape; if the append fails the caller answers 5xx (commit-xor-5xx).
-// The SpendMeta argument is ignored: a Txn charges nothing itself, and
-// the accountant already recorded the charges out.Charges lists.
+// Commit settles the transaction as committed: the commit record — the
+// intent, the status, the exact charges in out.Charges and, for a keyed
+// request, the response body — is written and fsynced before Commit
+// returns, so if it returns nil the outcome is on disk before any
+// response byte can escape; if the append fails the caller answers 5xx
+// (commit-xor-5xx). The SpendMeta argument is ignored: a Txn charges
+// nothing itself, and the accountant already recorded the charges
+// out.Charges lists.
 func (tx *Txn) Commit(_ mechanism.SpendMeta, out Outcome) error {
 	if tx == nil {
 		return nil
@@ -320,65 +324,51 @@ func (tx *Txn) Commit(_ mechanism.SpendMeta, out Outcome) error {
 	if tx.settled {
 		panic("wal: Txn.Commit on a settled transaction")
 	}
-	if tx.log != nil {
-		rec := Record{
-			Op:      OpCommit,
-			Ref:     tx.lsn,
-			Status:  out.Status,
-			Charges: out.Charges,
-		}
-		if out.Response != nil {
-			rec.Fingerprint = Fingerprint(out.Response)
-			rec.Response = out.Response
-		}
-		if _, err := tx.log.Append(rec); err != nil {
-			return err
-		}
+	rec := Record{
+		Op:       OpCommit,
+		Key:      tx.it.Key,
+		Endpoint: tx.it.Endpoint,
+		Seed:     tx.it.Seed,
+		Epsilon:  tx.it.Epsilon,
+		Status:   out.Status,
+		Charges:  out.Charges,
+	}
+	if tx.it.Key != "" {
+		rec.Response = out.Response
+	}
+	if _, err := tx.log.Append(rec); err != nil {
+		return err
 	}
 	tx.settled = true
 	return nil
 }
 
-// Release settles the transaction as abandoned: a void record settles
-// the reserve line. The void append is best-effort — a missing void is equivalent
-// to a void at recovery (reserve without commit), which is exactly the
-// crash semantics. After Commit (or a second Release) it is a no-op, so
-// `defer tx.Release()` is the canonical cleanup.
+// Release settles the transaction as abandoned. It writes nothing: a
+// request with no commit record is, at recovery, a request that never
+// released anything. After Commit (or a second Release) it is a no-op,
+// so `defer tx.Release()` is the canonical cleanup.
 func (tx *Txn) Release() {
 	if tx == nil {
 		return
 	}
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	if tx.settled {
-		return
-	}
 	tx.settled = true
-	if tx.log != nil {
-		_, _ = tx.log.Append(Record{Op: OpVoid, Ref: tx.lsn}) //dplint:ignore errdrop a lost void is indistinguishable from — and settled like — a crash before the void
-	}
 }
 
 // ReplayOutcome is one committed response restored for idempotent
 // replay.
 type ReplayOutcome struct {
-	Status      int
-	Fingerprint string
-	Response    []byte
+	Status   int
+	Response []byte
 }
 
 // State is the settled view of one WAL after Replay: what recovery
-// charges, what it voids, and which responses it can replay.
+// charges and which responses it can replay.
 type State struct {
 	// Commits are the commit records in LSN order; their Charges are the
 	// exact guarantee multiset the rebuilt accountant must compose.
 	Commits []Record
-	// Unsettled are reserve records with no commit or void — requests in
-	// flight at the crash. Their releases never escaped; recovery voids
-	// them.
-	Unsettled []Record
-	// Voided counts reserves settled by an explicit void record.
-	Voided int
 	// Outcomes restores the idempotency store: committed responses by
 	// client key.
 	Outcomes map[string]ReplayOutcome
@@ -396,46 +386,29 @@ func (st *State) Charges() []Charge {
 }
 
 // Replay folds a log's surviving records into their settled state:
-// every reserve is resolved as committed, voided, or unsettled
-// (crashed, treated as void), and the committed outcomes keyed by
-// Idempotency-Key are restored. Records are processed in LSN order;
-// Replay is a pure function, so recovery is deterministic regardless of
-// worker counts or replay timing.
+// every commit is charged, and the committed outcomes keyed by
+// Idempotency-Key are restored. A commit's key is its own, or — in logs
+// written before commits carried their intent — that of the reserve
+// record its Ref names. Any other record charges nothing: a request
+// that never committed never released. Records are processed in LSN
+// order; Replay is a pure function, so recovery is deterministic
+// regardless of worker counts or replay timing.
 func Replay(recs []Record) *State {
 	st := &State{Outcomes: make(map[string]ReplayOutcome)}
-	reserves := make(map[uint64]Record)
-	var order []uint64
+	reserveKeys := make(map[uint64]string)
 	for _, rec := range recs {
 		switch rec.Op {
 		case OpReserve:
-			reserves[rec.LSN] = rec
-			order = append(order, rec.LSN)
+			reserveKeys[rec.LSN] = rec.Key
 		case OpCommit:
-			res, ok := reserves[rec.Ref]
-			if ok {
-				delete(reserves, rec.Ref)
-				if res.Key != "" && rec.Status != 0 {
-					st.Outcomes[res.Key] = ReplayOutcome{
-						Status:      rec.Status,
-						Fingerprint: rec.Fingerprint,
-						Response:    append([]byte(nil), rec.Response...),
-					}
-				}
+			key := rec.Key
+			if key == "" {
+				key = reserveKeys[rec.Ref]
 			}
-			// A commit whose reserve was lost to corruption still charges:
-			// the response may have escaped, so the conservative reading is
-			// that it did.
+			if key != "" && rec.Status != 0 {
+				st.Outcomes[key] = ReplayOutcome{Status: rec.Status, Response: rec.Response}
+			}
 			st.Commits = append(st.Commits, rec)
-		case OpVoid:
-			if _, ok := reserves[rec.Ref]; ok {
-				delete(reserves, rec.Ref)
-				st.Voided++
-			}
-		}
-	}
-	for _, lsn := range order {
-		if res, ok := reserves[lsn]; ok {
-			st.Unsettled = append(st.Unsettled, res)
 		}
 	}
 	return st

@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
+	"syscall"
 	"testing"
 
 	"repro/internal/mechanism"
@@ -19,22 +22,35 @@ func openT(t *testing.T, path string) (*Log, []Record) {
 	return l, recs
 }
 
+// commitT runs one request's transaction to a durable commit charging
+// the quoted ε, with a response naming its seed.
+func commitT(l *Log, it Intent) error {
+	tx, err := l.Begin(it)
+	if err != nil {
+		return err
+	}
+	defer tx.Release()
+	return tx.Commit(mechanism.SpendMeta{}, Outcome{
+		Status:   200,
+		Response: []byte(`{"seed":` + strconv.FormatInt(it.Seed, 10) + `}`),
+		Charges:  []Charge{{Mechanism: it.Endpoint, Epsilon: it.Epsilon}},
+	})
+}
+
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "alpha.wal")
 	l, recs := openT(t, path)
 	if len(recs) != 0 {
 		t.Fatalf("fresh log has %d records", len(recs))
 	}
-	lsn1, err := l.Append(Record{Op: OpReserve, Endpoint: "fit", Key: "k1", Seed: 7, Epsilon: 0.5})
-	if err != nil {
-		t.Fatalf("append reserve: %v", err)
-	}
 	body := []byte(`{"theta":[1,2]}` + "\n")
-	if _, err := l.Append(Record{
-		Op: OpCommit, Ref: lsn1, Status: 200,
-		Fingerprint: Fingerprint(body), Response: body,
-		Charges: []Charge{{Mechanism: "gibbs", Epsilon: 0.5, Delta: 0.05}},
-	}); err != nil {
+	want := Record{
+		Op: OpCommit, Key: "k1", Endpoint: "fit", Seed: 7, Epsilon: 0.5,
+		Status: 200, Response: body,
+		Charges: []Charge{{Mechanism: "gibbs", Sensitivity: 0.01, Outcomes: 17, Epsilon: 0.5, Delta: 0.05}},
+	}
+	lsn, err := l.Append(want)
+	if err != nil {
 		t.Fatalf("append commit: %v", err)
 	}
 	if err := l.Close(); err != nil {
@@ -42,20 +58,16 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	_, recs2 := openT(t, path)
-	if len(recs2) != 2 {
-		t.Fatalf("reopen: got %d records, want 2", len(recs2))
+	if len(recs2) != 1 {
+		t.Fatalf("reopen: got %d records, want 1", len(recs2))
 	}
-	if recs2[0].Op != OpReserve || recs2[0].Key != "k1" || recs2[0].Seed != 7 {
-		t.Fatalf("reserve record mangled: %+v", recs2[0])
+	got := recs2[0]
+	if got.Op != OpCommit || got.LSN != lsn || got.Key != "k1" || got.Endpoint != "fit" || got.Seed != 7 ||
+		got.Epsilon != 0.5 || got.Status != 200 || len(got.Charges) != 1 || got.Charges[0] != want.Charges[0] {
+		t.Fatalf("commit record mangled: %+v", got)
 	}
-	if recs2[1].Op != OpCommit || recs2[1].Ref != lsn1 || recs2[1].Status != 200 {
-		t.Fatalf("commit record mangled: %+v", recs2[1])
-	}
-	if recs2[1].Fingerprint != Fingerprint(body) {
-		t.Fatalf("fingerprint mangled")
-	}
-	if string(recs2[1].Response) != string(body) {
-		t.Fatalf("response body mangled: %q", recs2[1].Response)
+	if !bytes.Equal(got.Response, body) {
+		t.Fatalf("response body mangled: %q", got.Response)
 	}
 }
 
@@ -100,61 +112,105 @@ func TestTornTailRepair(t *testing.T) {
 func TestFreeze(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f.wal")
 	l, _ := openT(t, path)
-	if _, err := l.Append(Record{Op: OpReserve, Epsilon: 0.5}); err != nil {
+	if err := commitT(l, Intent{Endpoint: "fit", Seed: 1, Epsilon: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := l.Begin(Intent{Endpoint: "fit", Seed: 2, Epsilon: 0.5})
+	if err != nil {
 		t.Fatal(err)
 	}
 	l.Freeze()
-	if _, err := l.Append(Record{Op: OpVoid, Ref: 1}); !errors.Is(err, ErrFrozen) {
+	if err := tx.Commit(mechanism.SpendMeta{}, Outcome{Status: 200, Charges: []Charge{{Epsilon: 0.5}}}); !errors.Is(err, ErrFrozen) {
+		t.Fatalf("commit on frozen log: err=%v, want ErrFrozen", err)
+	}
+	tx.Release()
+	if _, err := l.Begin(Intent{Endpoint: "fit", Seed: 3}); !errors.Is(err, ErrFrozen) {
+		t.Fatalf("Begin on frozen log: err=%v, want ErrFrozen", err)
+	}
+	if _, err := l.Append(Record{Op: OpCommit}); !errors.Is(err, ErrFrozen) {
 		t.Fatalf("append on frozen log: err=%v, want ErrFrozen", err)
 	}
-	// The crash left a torn state: reserve without settlement.
+	// The crash left only the commit that landed before it.
 	_, recs := openT(t, path)
 	st := Replay(recs)
-	if len(st.Unsettled) != 1 || len(st.Commits) != 0 {
-		t.Fatalf("frozen-crash replay: unsettled=%d commits=%d, want 1/0", len(st.Unsettled), len(st.Commits))
+	if len(recs) != 1 || len(st.Commits) != 1 || st.Commits[0].Seed != 1 {
+		t.Fatalf("frozen-crash replay: %d record(s), commits %+v; want the one commit before the freeze", len(recs), st.Commits)
 	}
 }
 
+// v1Log is a log in the format written before commits carried their
+// intent: a keyed reserve with the commit naming it by Ref, a reserve
+// settled by a void, an unkeyed committed reserve, a refused outcome
+// committed without charges, a stranded keyed reserve (a crash after
+// its reserve), and a reserve whose commit a crash tore mid-write.
+const v1Log = `{"op":"reserve","lsn":1,"key":"a","endpoint":"fit","seed":3,"epsilon":0.5}
+{"op":"commit","lsn":2,"ref":1,"status":200,"fingerprint":"f1","response":"eyJ4IjoxfQ==","charges":[{"mechanism":"gibbs","sensitivity":0.02,"outcomes":9,"epsilon":0.5,"delta":0.05}]}
+{"op":"reserve","lsn":3,"key":"b","endpoint":"select","epsilon":0.2}
+{"op":"void","lsn":4,"ref":3}
+{"op":"reserve","lsn":5,"endpoint":"density","epsilon":0.3}
+{"op":"commit","lsn":6,"ref":5,"status":200,"fingerprint":"f2","response":"eyJ5IjoyfQ==","charges":[{"mechanism":"laplace","epsilon":0.3}]}
+{"op":"reserve","lsn":7,"endpoint":"density","epsilon":0.3}
+{"op":"commit","lsn":8,"ref":7,"status":429}
+{"op":"reserve","lsn":9,"key":"c","endpoint":"summary","epsilon":0.1}
+{"op":"reserve","lsn":10,"key":"d","endpoint":"fit","epsilon":0.5}
+{"op":"commit","lsn":11,"ref":10,"status":200,"charges":[{"eps`
+
+// TestReplaySettlement replays a log written in the reserve/commit/void
+// format and pins the books and keyed outcomes recovery rebuilt from it
+// before commits carried their intent: every surviving commit charges,
+// a commit's key comes from the reserve its Ref names, and a void, a
+// stranded reserve and a torn commit charge nothing and restore no
+// outcome. Commits appended in the current format then extend the same
+// log: a keyed commit restores its own outcome, an unkeyed one only
+// charges.
 func TestReplaySettlement(t *testing.T) {
-	recs := []Record{
-		{Op: OpReserve, LSN: 1, Key: "a", Endpoint: "fit", Epsilon: 0.5},
-		{Op: OpCommit, LSN: 2, Ref: 1, Status: 200, Fingerprint: "f1", Response: []byte(`{"x":1}`), Charges: []Charge{{Epsilon: 0.5, Delta: 0.05}}},
-		{Op: OpReserve, LSN: 3, Key: "b", Endpoint: "select", Epsilon: 0.2},
-		{Op: OpVoid, LSN: 4, Ref: 3},
-		{Op: OpReserve, LSN: 5, Key: "c", Endpoint: "summary", Epsilon: 0.1}, // crashed in flight
-		{Op: OpReserve, LSN: 6, Endpoint: "density", Epsilon: 0.3},
-		{Op: OpCommit, LSN: 7, Ref: 6, Status: 429}, // refused outcome: no charge, no key
+	path := filepath.Join(t.TempDir(), "v1.wal")
+	if err := os.WriteFile(path, []byte(v1Log), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	l, recs := openT(t, path)
 	st := Replay(recs)
-	if len(st.Commits) != 2 {
-		t.Fatalf("commits=%d, want 2", len(st.Commits))
+	if len(st.Commits) != 3 {
+		t.Fatalf("commits=%d, want 3", len(st.Commits))
 	}
-	if st.Voided != 1 {
-		t.Fatalf("voided=%d, want 1", st.Voided)
-	}
-	if len(st.Unsettled) != 1 || st.Unsettled[0].Key != "c" {
-		t.Fatalf("unsettled=%+v, want the crashed summary reserve", st.Unsettled)
-	}
+	want := []Charge{{Mechanism: "gibbs", Sensitivity: 0.02, Outcomes: 9, Epsilon: 0.5, Delta: 0.05}, {Mechanism: "laplace", Epsilon: 0.3}}
 	ch := st.Charges()
-	if len(ch) != 1 || ch[0].Epsilon != 0.5 || ch[0].Delta != 0.05 {
-		t.Fatalf("charges=%+v, want the single committed guarantee", ch)
+	if len(ch) != len(want) || ch[0] != want[0] || ch[1] != want[1] {
+		t.Fatalf("charges=%+v, want %+v", ch, want)
 	}
-	out, ok := st.Outcomes["a"]
-	if !ok || out.Status != 200 || out.Fingerprint != "f1" || string(out.Response) != `{"x":1}` {
-		t.Fatalf("outcome for key a mangled: %+v ok=%v", out, ok)
+	if len(st.Outcomes) != 1 {
+		t.Fatalf("outcomes=%+v, want only key a", st.Outcomes)
 	}
-	if _, ok := st.Outcomes["b"]; ok {
-		t.Fatalf("voided request must not pin an outcome")
+	if out := st.Outcomes["a"]; out.Status != 200 || string(out.Response) != `{"x":1}` {
+		t.Fatalf("outcome for key a mangled: %+v", out)
 	}
-	if _, ok := st.Outcomes["c"]; ok {
-		t.Fatalf("crashed request must not pin an outcome")
+
+	// The log keeps growing in the current format after an upgrade.
+	if err := commitT(l, Intent{Endpoint: "summary", Key: "e", Seed: 4, Epsilon: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := commitT(l, Intent{Endpoint: "fit", Seed: 5, Epsilon: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	_, recs = openT(t, path)
+	st = Replay(recs)
+	if got := len(st.Charges()); len(st.Commits) != 5 || got != 4 {
+		t.Fatalf("after upgrade: %d commits carrying %d charges, want 5 and 4", len(st.Commits), got)
+	}
+	if len(st.Outcomes) != 2 {
+		t.Fatalf("after upgrade: outcomes=%+v, want keys a and e", st.Outcomes)
+	}
+	if out := st.Outcomes["e"]; out.Status != 200 || string(out.Response) != `{"seed":4}` {
+		t.Fatalf("outcome for key e mangled: %+v", out)
 	}
 }
 
 func TestTxnCommitLogsOutcome(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tx.wal")
 	l, _ := openT(t, path)
-	tx, err := l.Begin(Intent{Endpoint: "fit", Key: "k", Seed: 3, Epsilon: 0.5})
+	it := Intent{Endpoint: "fit", Key: "k", Seed: 3, Epsilon: 0.5}
+	tx, err := l.Begin(it)
 	if err != nil {
 		t.Fatalf("Begin: %v", err)
 	}
@@ -167,38 +223,58 @@ func TestTxnCommitLogsOutcome(t *testing.T) {
 		t.Fatalf("Commit: %v", err)
 	}
 	tx.Release() // post-commit Release must be a no-op
+	// An unkeyed request's commit carries no response: only keyed
+	// outcomes are ever replayed.
+	tx, err = l.Begin(Intent{Endpoint: "density", Seed: 4, Epsilon: 0.125})
+	if err != nil {
+		t.Fatalf("Begin: %v", err)
+	}
+	if err := tx.Commit(mechanism.SpendMeta{}, Outcome{Status: 200, Response: body, Charges: charges[1:]}); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
 	l.Close()
 	_, recs := openT(t, path)
+	if len(recs) != 2 {
+		t.Fatalf("%d records on disk, want one commit per Txn", len(recs))
+	}
+	c := recs[0]
+	if c.Op != OpCommit || c.Ref != 0 || c.Key != it.Key || c.Endpoint != it.Endpoint || c.Seed != it.Seed || c.Epsilon != it.Epsilon {
+		t.Fatalf("commit does not carry its intent: %+v", c)
+	}
+	if !bytes.Equal(c.Response, body) {
+		t.Fatalf("keyed commit response %q, want %q", c.Response, body)
+	}
+	if recs[1].Op != OpCommit || recs[1].Endpoint != "density" || recs[1].Response != nil {
+		t.Fatalf("unkeyed commit %+v, want a density commit with no response", recs[1])
+	}
 	st := Replay(recs)
-	if len(st.Commits) != 1 || len(st.Unsettled) != 0 || st.Voided != 0 {
-		t.Fatalf("replay: commits=%d unsettled=%d voided=%d", len(st.Commits), len(st.Unsettled), st.Voided)
+	// The commits log exactly the charges they were handed, in order.
+	if got := st.Charges(); len(got) != 3 || got[0] != charges[0] || got[1] != charges[1] || got[2] != charges[1] {
+		t.Fatalf("commit charges %+v, want %+v then %+v", got, charges, charges[1:])
 	}
-	// The commit logs exactly the charges it was handed, in order.
-	if got := st.Charges(); len(got) != 2 || got[0] != charges[0] || got[1] != charges[1] {
-		t.Fatalf("commit charges %+v, want %+v", got, charges)
-	}
-	if st.Commits[0].Fingerprint != Fingerprint(body) {
-		t.Fatalf("commit fingerprint mangled")
-	}
-	if o := st.Outcomes["k"]; o.Status != 200 || string(o.Response) != string(body) {
-		t.Fatalf("keyed outcome %+v not restorable", o)
+	if o := st.Outcomes["k"]; len(st.Outcomes) != 1 || o.Status != 200 || string(o.Response) != string(body) {
+		t.Fatalf("keyed outcome %+v not restorable (outcomes %+v)", o, st.Outcomes)
 	}
 }
 
 func TestTxnReleaseVoids(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rel.wal")
 	l, _ := openT(t, path)
-	tx, err := l.Begin(Intent{Endpoint: "fit", Epsilon: 0.5})
+	tx, err := l.Begin(Intent{Endpoint: "fit", Key: "k", Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tx.Release()
 	tx.Release() // idempotent
 	l.Close()
+	// An abandoned request leaves no trace: recovery has nothing to
+	// charge and nothing to replay.
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+		t.Fatalf("log after Begin+Release: size=%v err=%v, want an empty file", fi.Size(), err)
+	}
 	_, recs := openT(t, path)
-	st := Replay(recs)
-	if st.Voided != 1 || len(st.Unsettled) != 0 || len(st.Commits) != 0 {
-		t.Fatalf("replay after release: voided=%d unsettled=%d commits=%d", st.Voided, len(st.Unsettled), len(st.Commits))
+	if st := Replay(recs); len(recs) != 0 || len(st.Commits) != 0 || len(st.Outcomes) != 0 {
+		t.Fatalf("replay after release: %d records, %d commits, %d outcomes", len(recs), len(st.Commits), len(st.Outcomes))
 	}
 }
 
@@ -240,14 +316,21 @@ func TestHooks(t *testing.T) {
 		}
 		syncs++
 	})
-	if _, err := l.Append(Record{Op: OpReserve, Epsilon: 0.1}); err != nil {
+	tx, err := l.Begin(Intent{Endpoint: "fit", Epsilon: 0.1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(Record{Op: OpVoid, Ref: 1}); err != nil {
-		t.Fatal(err)
+	tx.Release()
+	if appends != 0 || syncs != 0 {
+		t.Fatalf("hooks after Begin+Release: appends=%d syncs=%d, want 0/0", appends, syncs)
+	}
+	for i := 0; i < 2; i++ {
+		if err := commitT(l, Intent{Endpoint: "fit", Epsilon: 0.1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if appends != 2 || syncs != 2 {
-		t.Fatalf("hooks: appends=%d syncs=%d, want 2/2", appends, syncs)
+		t.Fatalf("hooks after two commits: appends=%d syncs=%d, want 2/2", appends, syncs)
 	}
 }
 
@@ -261,6 +344,7 @@ func FuzzWALRepair(f *testing.F) {
 	f.Add([]byte(`{"op":"reserve","lsn":1}` + "\n" + `{"op":"commit","lsn":2,"ref":1,"status":200,"charges":[{"epsilon":0.5}]}` + "\n"))
 	f.Add([]byte(`{"op":"reserve","lsn":1}` + "\n" + `{"op":"comm`))
 	f.Add([]byte("\x00\xff garbage\n{\"op\":\"void\",\"lsn\":9,\"ref\":3}\n"))
+	f.Add([]byte(`{"op":"commit","lsn":1,"key":"k","endpoint":"fit","epsilon":0.5,"status":200,"response":"e30K","charges":[{"epsilon":0.5}]}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			return
@@ -280,10 +364,10 @@ func FuzzWALRepair(f *testing.F) {
 			}
 		}
 		st := Replay(recs)
-		if got := len(st.Commits) + len(st.Unsettled); got > len(recs) {
-			t.Fatalf("replay invented records: %d from %d", got, len(recs))
+		if len(st.Commits) > len(recs) || len(st.Outcomes) > len(st.Commits) {
+			t.Fatalf("replay invented records: %d commits and %d outcomes from %d records", len(st.Commits), len(st.Outcomes), len(recs))
 		}
-		lsn, err := l.Append(Record{Op: OpReserve, Endpoint: "fit", Epsilon: 0.25})
+		lsn, err := l.Append(Record{Op: OpCommit, Endpoint: "fit", Epsilon: 0.25, Status: 200, Charges: []Charge{{Epsilon: 0.25}}})
 		if err != nil {
 			t.Fatalf("append after repair: %v", err)
 		}
@@ -294,7 +378,7 @@ func FuzzWALRepair(f *testing.F) {
 		}
 		var found bool
 		for _, r := range recs2 {
-			if r.LSN == lsn && r.Op == OpReserve && r.Endpoint == "fit" {
+			if r.LSN == lsn && r.Op == OpCommit && r.Endpoint == "fit" {
 				found = true
 			}
 		}
@@ -302,4 +386,101 @@ func FuzzWALRepair(f *testing.F) {
 			t.Fatalf("post-repair append lost on reopen (lsn=%d, %d records)", lsn, len(recs2))
 		}
 	})
+}
+
+// faultFile passes writes and fsyncs through to the log's file until
+// armed: failWrite lands the first half of the next write and fails it
+// (ENOSPC part-way through a record), failSync fails the next fsync
+// after its write landed (EIO).
+type faultFile struct {
+	file
+	failWrite, failSync bool
+}
+
+func (f *faultFile) Write(p []byte) (int, error) {
+	if f.failWrite {
+		f.failWrite = false
+		n, _ := f.file.Write(p[:len(p)/2])
+		return n, syscall.ENOSPC
+	}
+	return f.file.Write(p)
+}
+
+func (f *faultFile) Sync() error {
+	if f.failSync {
+		f.failSync = false
+		return syscall.EIO
+	}
+	return f.file.Sync()
+}
+
+// TestPoisonOnFailedWrite: a write that fails part-way leaves a record
+// prefix with no newline. Had the log kept appending, the next commit
+// would land on the same line and be skipped as torn on reopen — an
+// acknowledged charge lost. The first failure poisons the log instead.
+func TestPoisonOnFailedWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "poison.wal")
+	l, _ := openT(t, path)
+	ff := &faultFile{file: l.f}
+	l.f = ff
+	if err := commitT(l, Intent{Endpoint: "fit", Seed: 1, Epsilon: 0.5}); err != nil {
+		t.Fatalf("commit A: %v", err)
+	}
+	ff.failWrite = true
+	if err := commitT(l, Intent{Endpoint: "fit", Seed: 2, Epsilon: 0.5}); !errors.Is(err, ErrAppend) || !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("commit B: err=%v, want ErrAppend wrapping ENOSPC", err)
+	}
+	if err := commitT(l, Intent{Endpoint: "fit", Seed: 3, Epsilon: 0.5}); !errors.Is(err, ErrAppend) {
+		t.Fatalf("commit C after a failed write: err=%v, want ErrAppend", err)
+	}
+	if _, err := l.Append(Record{Op: OpCommit, Seed: 4}); !errors.Is(err, ErrAppend) {
+		t.Fatalf("append after a failed write: err=%v, want ErrAppend", err)
+	}
+	if _, err := l.Begin(Intent{Endpoint: "fit", Seed: 5}); !errors.Is(err, ErrAppend) {
+		t.Fatalf("Begin on a poisoned log: err=%v, want ErrAppend", err)
+	}
+	l.Close()
+	_, recs := openT(t, path)
+	if len(recs) != 1 || recs[0].Seed != 1 {
+		t.Fatalf("reopen recovered %+v, want exactly commit A", recs)
+	}
+}
+
+// TestPoisonOnFailedSync: after a failed fsync the kernel may have
+// dropped the dirty pages and report success on the next fsync, so the
+// log stops writing. The failed commit's line reached the file here, so
+// recovery may charge it although its client got a 5xx — over-counting,
+// never under-counting.
+func TestPoisonOnFailedSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "poison.wal")
+	l, _ := openT(t, path)
+	var syncErrs int
+	l.SetHooks(nil, func(err error) {
+		if err != nil {
+			syncErrs++
+		}
+	})
+	ff := &faultFile{file: l.f}
+	l.f = ff
+	if err := commitT(l, Intent{Endpoint: "fit", Seed: 1, Epsilon: 0.5}); err != nil {
+		t.Fatalf("commit A: %v", err)
+	}
+	ff.failSync = true
+	if err := commitT(l, Intent{Endpoint: "fit", Seed: 2, Epsilon: 0.5}); !errors.Is(err, ErrAppend) || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("commit B: err=%v, want ErrAppend wrapping EIO", err)
+	}
+	if err := commitT(l, Intent{Endpoint: "fit", Seed: 3, Epsilon: 0.5}); !errors.Is(err, ErrAppend) {
+		t.Fatalf("commit C after a failed fsync: err=%v, want ErrAppend", err)
+	}
+	if _, err := l.Begin(Intent{Endpoint: "fit", Seed: 4}); !errors.Is(err, ErrAppend) {
+		t.Fatalf("Begin on a poisoned log: err=%v, want ErrAppend", err)
+	}
+	if syncErrs != 1 {
+		t.Fatalf("sync hook saw %d failure(s), want 1", syncErrs)
+	}
+	l.Close()
+	_, recs := openT(t, path)
+	if len(recs) != 2 || recs[0].Seed != 1 || recs[1].Seed != 2 {
+		t.Fatalf("reopen recovered %+v, want commits A and B and nothing after", recs)
+	}
 }
