@@ -41,8 +41,9 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzzing pass over the log-domain primitives, the exact float64
-# accumulator, the W3C traceparent parser and the WAL's torn-tail
-# repair (one -fuzz target per invocation, as `go test` requires).
+# accumulator, the zero-one risk's counting loop, the W3C traceparent
+# parser and the WAL's torn-tail repair (one -fuzz target per
+# invocation, as `go test` requires).
 # Override FUZZTIME for longer campaigns, e.g.
 # `make fuzz-smoke FUZZTIME=2m`.
 FUZZTIME ?= 10s
@@ -51,6 +52,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mathx -run '^$$' -fuzz '^FuzzLogSumExp$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mathx -run '^$$' -fuzz '^FuzzLogNormalize$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mathx -run '^$$' -fuzz '^FuzzExactSum$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/learn -run '^$$' -fuzz '^FuzzZeroOneRisk$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzTraceparent$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALRepair$$' -fuzztime $(FUZZTIME)
 
@@ -122,11 +124,15 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable benchmark artifacts: runs the parallel-engine and
-# mechanism benchmark suites and writes BENCH_parallel.json and
-# BENCH_mechanism.json (CI uploads them). Override BENCHTIME for real
-# measurements, e.g. `make bench-json BENCHTIME=2s`.
-BENCHTIME ?= 1x
+# Machine-readable benchmark artifacts: runs the parallel-engine,
+# mechanism, linter and risk-grid benchmark suites and writes
+# BENCH_parallel.json, BENCH_mechanism.json, BENCH_lint.json and
+# BENCH_learn.json (CI uploads them). Each benchmark runs for a time
+# budget, not one iteration: a single iteration reads cold caches and
+# first-call allocations, so its numbers cannot show a regression.
+# Override BENCHTIME for longer measurements, e.g.
+# `make bench-json BENCHTIME=2s`.
+BENCHTIME ?= 200ms
 bench-json:
 	$(GO) run ./cmd/dplearn-bench -benchtime $(BENCHTIME)
 

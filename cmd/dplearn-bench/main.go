@@ -2,7 +2,8 @@
 // writes machine-readable BENCH_<name>.json artifacts (parsed from the
 // standard `go test -bench` text by internal/obs.ParseBench). CI uploads
 // the artifacts so the perf trajectory of the deterministic parallel
-// engine and the mechanism family is diffable across commits.
+// engine, the mechanism family and the risk grid is diffable across
+// commits.
 //
 // Usage:
 //
@@ -13,6 +14,7 @@
 //	parallel  → ./internal/parallel  → BENCH_parallel.json
 //	mechanism → ./internal/mechanism → BENCH_mechanism.json
 //	lint      → ./internal/analysis  → BENCH_lint.json
+//	learn     → ./internal/learn     → BENCH_learn.json
 //
 // -timeout bounds the whole run; ^C or the deadline kills the in-flight
 // `go test` child, no partial artifact is written for the interrupted
@@ -38,14 +40,15 @@ var suites = map[string]string{
 	"parallel":  "./internal/parallel",
 	"mechanism": "./internal/mechanism",
 	"lint":      "./internal/analysis",
+	"learn":     "./internal/learn",
 }
 
 // suiteOrder fixes the run order (map iteration is randomized).
-var suiteOrder = []string{"parallel", "mechanism", "lint"}
+var suiteOrder = []string{"parallel", "mechanism", "lint", "learn"}
 
 func main() {
 	outDir := flag.String("out", ".", "directory for the BENCH_<suite>.json artifacts")
-	benchtime := flag.String("benchtime", "1x", "go test -benchtime value (1x = one iteration, CI-friendly)")
+	benchtime := flag.String("benchtime", "1x", "go test -benchtime value (1x = one iteration, a smoke run; make bench-json passes 200ms)")
 	suiteList := flag.String("suite", strings.Join(suiteOrder, ","), "comma-separated suites to run")
 	goBin := flag.String("go", "go", "go tool to invoke")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")

@@ -195,12 +195,15 @@ func (l *Learner) FitPolicyCtx(ctx context.Context, d *dataset.Dataset, g *rng.R
 }
 
 // widen recalibrates the estimator so the release costs at most the
-// remaining budget. The reservation is taken for that exact remainder —
+// remaining budget. The reservation is taken for that exact remainder r —
 // not for the recalibrated estimator's recomputed Guarantee, whose low
 // bits may differ after the λ round-trip — so the budget closes to
-// exactly zero with no floating-point residue. λ = r·n/(2M) can round
-// so that 2λ·M/n lands above r, so λ steps down an ulp at a time until
-// the released guarantee fits inside the charge.
+// exactly zero with no floating-point residue when budget − spent is
+// exact. When it is not, r can compose to an ulp over the budget, and
+// the reservation is retried once at one ulp below r, leaving at most an
+// ulp of the budget open. λ = r·n/(2M) can round so that 2λ·M/n lands
+// above the reserved amount, so λ steps down an ulp at a time until the
+// released guarantee fits inside the charge.
 func (l *Learner) widen(n int) (*gibbs.Estimator, *mechanism.Reservation, error) {
 	rem, ok := l.cfg.Acct.Remaining()
 	if !ok || rem.Epsilon <= 0 {
@@ -214,17 +217,24 @@ func (l *Learner) widen(n int) (*gibbs.Estimator, *mechanism.Reservation, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	for est.Guarantee(n).Epsilon > rem.Epsilon {
-		est.Lambda = math.Nextafter(est.Lambda, 0)
-	}
-	est.Parallel = l.cfg.Parallel
-	est.Cache = l.cache
 	res, err := l.cfg.Acct.Reserve(rem)
+	if errors.Is(err, mechanism.ErrBudgetExhausted) {
+		// spent + r can round above the budget when budget − spent needs
+		// one bit more than r holds. The overshoot is at most half an ulp
+		// of the budget plus half an ulp of r, so one ulp less fits.
+		rem.Epsilon = math.Nextafter(rem.Epsilon, 0)
+		res, err = l.cfg.Acct.Reserve(rem)
+	}
 	if err != nil {
 		// Lost the headroom to a concurrent reservation between Remaining
 		// and Reserve; treat as exhausted.
 		return nil, nil, fmt.Errorf("core: widened reservation lost a race: %w", err)
 	}
+	for est.Guarantee(n).Epsilon > rem.Epsilon {
+		est.Lambda = math.Nextafter(est.Lambda, 0)
+	}
+	est.Parallel = l.cfg.Parallel
+	est.Cache = l.cache
 	return est, res, nil
 }
 

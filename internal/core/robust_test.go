@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/mathx"
 	"repro/internal/mechanism"
 	"repro/internal/rng"
 )
@@ -182,20 +183,22 @@ func TestFitWidenPolicy(t *testing.T) {
 }
 
 // TestFitWidenReleasesAtMostItsCharge pins DegradeWiden's bound over
-// many (budget, spent, n): the widened fit is charged the exact
-// remainder r, the guarantee it releases — the certificate's ε — is at
-// most r, and the books close to exactly zero. λ = r·n/(2M) alone can
-// round so that 2λ·M/n lands above r. spent is drawn from
-// [budget/2, budget), where budget − spent is exact (Sterbenz), so one
-// charge of r closes the books.
+// many (budget, spent, n): the widened fit is charged the remainder r
+// (or one ulp less, when spent + r composes above the budget), the
+// guarantee it releases — the certificate's ε — is at most r, and the
+// books close. λ = r·n/(2M) alone can round so that 2λ·M/n lands above
+// r. spent is drawn from (0, budget): where budget − spent is exact one
+// charge of r closes the books to exactly zero; elsewhere at most one
+// ulp of the budget stays open, and the fit never fails for want of
+// half an ulp.
 func TestFitWidenReleasesAtMostItsCharge(t *testing.T) {
 	g := rng.New(24)
 	model := dataset.LogisticModel{Weights: []float64{3}, Bias: 0}
 	for i := 0; i < 300; i++ {
 		n := 1 + g.Intn(1000)
 		budget := 4 * (1 - g.Float64())
-		spent := budget * (0.5 + g.Float64()/2)
-		if spent >= budget {
+		spent := budget * g.Float64()
+		if spent <= 0 || spent >= budget {
 			continue
 		}
 		var acct mechanism.Accountant
@@ -204,6 +207,12 @@ func TestFitWidenReleasesAtMostItsCharge(t *testing.T) {
 		}
 		acct.Spend(mechanism.Guarantee{Epsilon: spent})
 		r, _ := acct.Remaining()
+		var residue mathx.ExactSum // budget − spent − r, exactly
+		residue.Add(budget)
+		residue.Sub(spent)
+		residue.Sub(r.Epsilon)
+		//dplint:ignore floateq an exact sum is zero exactly when budget − spent rounds to nothing
+		exact := residue.Float64() == 0
 		cfg := classifierConfig(2 * budget) // a full-price fit never fits the remainder
 		cfg.Acct = &acct
 		cfg.Degrade = DegradeWiden
@@ -221,9 +230,16 @@ func TestFitWidenReleasesAtMostItsCharge(t *testing.T) {
 		if eps := fit.Certificate.Privacy.Epsilon; eps > r.Epsilon {
 			t.Fatalf("case %d (budget=%v spent=%v n=%d): released ε=%.17g above its charge r=%.17g", i, budget, spent, n, eps, r.Epsilon)
 		}
+		if composed := acct.BasicComposition().Epsilon; composed > budget {
+			t.Fatalf("case %d (budget=%v spent=%v n=%d): books compose to %.17g, over the budget", i, budget, spent, n, composed)
+		}
+		rem, _ := acct.Remaining()
 		//dplint:ignore floateq the widened charge must close the books exactly
-		if rem, _ := acct.Remaining(); rem.Epsilon != 0 {
+		if exact && rem.Epsilon != 0 {
 			t.Fatalf("case %d (budget=%v spent=%v n=%d): %.17g ε left after the widened fit", i, budget, spent, n, rem.Epsilon)
+		}
+		if ulp := math.Nextafter(budget, math.Inf(1)) - budget; rem.Epsilon > ulp {
+			t.Fatalf("case %d (budget=%v spent=%v n=%d): %.17g ε left after the widened fit, over one ulp %.17g of the budget", i, budget, spent, n, rem.Epsilon, ulp)
 		}
 	}
 }

@@ -1,12 +1,15 @@
 package learn
 
 import (
+	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/mathx"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
@@ -427,22 +430,121 @@ func TestTrueRiskMC(t *testing.T) {
 	}
 }
 
+// genericZeroOne is ZeroOneLoss under a type that EmpiricalRisk's
+// counting loop does not recognise, so it runs the generic Kahan loop
+// over Loss: the reference that loop must match bit for bit.
+type genericZeroOne struct{ ZeroOneLoss }
+
+// TestRiskVectorParallelMatchesSequential pins the zero-one risk, the
+// served quality vector, bit for bit: EmpiricalRisk's counting loop and
+// RiskVectorOpts at one worker and at all CPUs against the generic Kahan
+// loop, over dims 1–4 and n on both sides of the 1<<14 serial cutoff.
+// θ = 0 and all-zero rows tie (dot 0, an error), labels are 0 and ±1,
+// and features near ±1e308 overflow the products so the compensated dot
+// is NaN (also an error). A ragged row panics with mathx.Dot's message
+// on both loops and surfaces from RiskVectorCtx as a WorkerError.
 func TestRiskVectorParallelMatchesSequential(t *testing.T) {
-	// Force the parallel path (large |Θ|·n) and compare against a direct
-	// sequential computation.
-	g := rng.New(99)
-	d := dataset.LogisticModel{Weights: []float64{1, -1}}.Generate(300, g)
-	grid := NewGrid(-2, 2, 2, 17) // 289 · 300 > 2^14 → parallel path
-	par := RiskVector(ZeroOneLoss{}, grid.Thetas(), d)
-	seq := make([]float64, grid.Size())
-	for i, th := range grid.Thetas() {
-		seq[i] = EmpiricalRisk(ZeroOneLoss{}, th, d)
-	}
-	for i := range seq {
-		if par[i] != seq[i] {
-			t.Fatalf("parallel[%d] = %v != sequential %v", i, par[i], seq[i])
+	for _, tc := range []struct{ dim, points int }{{1, 17}, {2, 9}, {3, 5}, {4, 5}} {
+		for _, n := range []int{1, 24, 500, 2000} {
+			g := rng.New(int64(99 + 10*tc.dim + n))
+			rows := make([]dataset.Example, n)
+			for i := range rows {
+				x := make([]float64, tc.dim)
+				kind := g.Intn(3) // 0: ordinary, 1: all zero, 2: near ±1e308
+				for j := range x {
+					switch kind {
+					case 0:
+						x[j] = g.Normal(0, 1)
+					case 2:
+						x[j] = (1 + g.Float64()*0.7) * 1e308
+						if g.Bernoulli(0.5) {
+							x[j] = -x[j]
+						}
+					}
+				}
+				rows[i] = dataset.Example{X: x, Y: float64(g.Intn(3) - 1)}
+			}
+			d := dataset.New(rows)
+			thetas := append(NewGrid(-2, 2, tc.dim, tc.points).Thetas(), make([]float64, tc.dim))
+			serial := RiskVectorOpts(ZeroOneLoss{}, thetas, d, parallel.Options{Workers: 1})
+			par := RiskVectorOpts(ZeroOneLoss{}, thetas, d, parallel.Options{})
+			for i, th := range thetas {
+				want := math.Float64bits(EmpiricalRisk(genericZeroOne{}, th, d))
+				for path, got := range map[string]float64{
+					"EmpiricalRisk":            EmpiricalRisk(ZeroOneLoss{}, th, d),
+					"RiskVectorOpts/Workers=1": serial[i],
+					"RiskVectorOpts/Workers=0": par[i],
+				} {
+					if math.Float64bits(got) != want {
+						t.Fatalf("dim=%d n=%d θ[%d]=%v: %s = %v (%#x), generic Kahan loop %v (%#x)",
+							tc.dim, n, i, th, path, got, math.Float64bits(got), math.Float64frombits(want), want)
+					}
+				}
+			}
+			if r := serial[len(thetas)-1]; r != 1 { //dplint:ignore floateq θ = 0 ties on every row, so its risk is exactly 1
+				t.Fatalf("dim=%d n=%d: risk of θ = 0 is %v, want 1 (ties are errors)", tc.dim, n, r)
+			}
 		}
 	}
+
+	ragged := dataset.New([]dataset.Example{ex(1, 1, 2), ex(-1, 1, 2, 3)})
+	theta := []float64{1, -1}
+	for _, l := range []Loss{ZeroOneLoss{}, genericZeroOne{}} {
+		func() {
+			defer func() {
+				if r := recover(); r != "mathx: Dot length mismatch" {
+					t.Errorf("%T on a ragged row panicked with %v, want mathx.Dot's length mismatch", l, r)
+				}
+			}()
+			EmpiricalRisk(l, theta, ragged)
+		}()
+		_, err := RiskVectorCtx(context.Background(), l, [][]float64{theta}, ragged, parallel.Options{})
+		var we *parallel.WorkerError
+		if !errors.As(err, &we) || we.Value != "mathx: Dot length mismatch" {
+			t.Errorf("%T: RiskVectorCtx on a ragged row returned %v, want a WorkerError carrying mathx.Dot's length mismatch", l, err)
+		}
+	}
+}
+
+// FuzzZeroOneRisk: EmpiricalRisk's counting loop and the generic Kahan
+// loop agree bit for bit on any θ, rows and labels, whatever their
+// float bits — ±0, subnormals, ±Inf and NaN included. raw is read as
+// little-endian float64 words: θ first, then rows of dim features and a
+// label.
+func FuzzZeroOneRisk(f *testing.F) {
+	words := func(xs ...float64) []byte {
+		b := make([]byte, 0, 8*len(xs))
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	negZero, tiny, inf, nan := math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.Inf(1), math.NaN()
+	f.Add(uint8(1), words(1, 2, 1, -3, -1, 0, 1, 4, 0))
+	f.Add(uint8(2), words(0, negZero, 1, 2, 1, 0, 0, -1, negZero, 5, 1))
+	f.Add(uint8(2), words(tiny, -tiny, tiny, tiny, 1, -tiny, 1e308, -1, 4e-310, 3, negZero))
+	f.Add(uint8(3), words(2, -2, 1, 1e308, 1e308, -1e308, 1, inf, 0, 1, 1, nan, nan, 1, 1, 1, -1, 1, -inf))
+	f.Fuzz(func(t *testing.T, dim uint8, raw []byte) {
+		k := 1 + int(dim%4)
+		vals := make([]float64, len(raw)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		if len(vals) < 2*k+1 {
+			return // no room for θ and one row
+		}
+		theta := vals[:k]
+		var rows []dataset.Example
+		for rest := vals[k:]; len(rest) >= k+1; rest = rest[k+1:] {
+			rows = append(rows, dataset.Example{X: rest[:k], Y: rest[k]})
+		}
+		d := dataset.New(rows)
+		got, want := EmpiricalRisk(ZeroOneLoss{}, theta, d), EmpiricalRisk(genericZeroOne{}, theta, d)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("θ=%v rows=%v: counting loop %v (%#x), generic Kahan loop %v (%#x)",
+				theta, rows, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
 }
 
 func BenchmarkRiskVectorParallel(b *testing.B) {
@@ -452,5 +554,25 @@ func BenchmarkRiskVectorParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = RiskVector(ZeroOneLoss{}, grid.Thetas(), d)
+	}
+}
+
+// BenchmarkRiskVectorZeroOne900x500Serial times the served risk grid's
+// shape: the zero-one risk of 900 predictors (a 30×30 grid) on 500
+// rows, on one worker.
+func BenchmarkRiskVectorZeroOne900x500Serial(b *testing.B) { benchRiskVectorZeroOne900x500(b, 1) }
+
+// BenchmarkRiskVectorZeroOne900x500Parallel is the same grid on every
+// CPU.
+func BenchmarkRiskVectorZeroOne900x500Parallel(b *testing.B) { benchRiskVectorZeroOne900x500(b, 0) }
+
+func benchRiskVectorZeroOne900x500(b *testing.B, workers int) {
+	g := rng.New(1)
+	d := dataset.LogisticModel{Weights: []float64{1, -1}}.Generate(500, g)
+	thetas := NewGrid(-2, 2, 2, 30).Thetas()
+	opts := parallel.Options{Workers: workers}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = RiskVectorOpts(ZeroOneLoss{}, thetas, d, opts)
 	}
 }

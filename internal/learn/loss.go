@@ -186,11 +186,36 @@ func EmpiricalRisk(l Loss, theta []float64, d *dataset.Dataset) float64 {
 	if d.Len() == 0 {
 		panic("learn: EmpiricalRisk of empty dataset")
 	}
+	if _, ok := l.(ZeroOneLoss); ok {
+		return zeroOneRisk(theta, d)
+	}
 	var k mathx.KahanSum
 	for _, e := range d.Examples {
 		k.Add(l.Loss(theta, e))
 	}
 	return k.Sum() / float64(d.Len())
+}
+
+// zeroOneRisk is EmpiricalRisk of ZeroOneLoss, bit for bit, as a count
+// of mistakes. Every partial Kahan sum of 0/1 terms is an integer below
+// 2⁵³, so each Add is exact, the compensation stays 0 and the sum is the
+// count. The inner loop is mathx.Dot inlined, so the sign test reads the
+// same compensated dot bits as ZeroOneLoss.Loss, ties and NaN included.
+func zeroOneRisk(theta []float64, d *dataset.Dataset) float64 {
+	m := 0
+	for _, e := range d.Examples {
+		if len(e.X) != len(theta) {
+			panic("mathx: Dot length mismatch")
+		}
+		var k mathx.KahanSum
+		for j := range theta {
+			k.Add(theta[j] * e.X[j])
+		}
+		if !(k.Sum()*e.Y > 0) {
+			m++
+		}
+	}
+	return float64(m) / float64(d.Len())
 }
 
 // RiskVector evaluates the empirical risk of every θ in thetas on d with

@@ -43,6 +43,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/checkpoint"
 	"repro/internal/mechanism"
@@ -133,8 +134,10 @@ type Log struct {
 	f   file
 	lsn uint64
 	// err is sticky: the first failed write or fsync (wrapped in
-	// ErrAppend), or ErrFrozen, fails every later Append and Begin.
-	err error
+	// ErrAppend), or ErrFrozen, fails every later Append and Begin. It
+	// is set under mu but read without it, so Begin never waits for the
+	// fsync an Append holds mu across.
+	err atomic.Pointer[error]
 
 	// onAppend and onSync feed observability (fsync and append counters)
 	// without the wal package importing the metrics registry.
@@ -196,7 +199,22 @@ func (l *Log) Freeze() {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.err = ErrFrozen
+	_ = l.poison(ErrFrozen) // later calls return it; Freeze reports nothing
+}
+
+// poison makes err the log's sticky error and returns it. The caller
+// holds mu.
+func (l *Log) poison(err error) error {
+	l.err.Store(&err)
+	return err
+}
+
+// sticky returns the log's sticky error, or nil while it is healthy.
+func (l *Log) sticky() error {
+	if p := l.err.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Append assigns the next LSN, writes the record as one NDJSON line in
@@ -210,8 +228,8 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return 0, l.err
+	if err := l.sticky(); err != nil {
+		return 0, err
 	}
 	l.lsn++
 	rec.LSN = l.lsn
@@ -220,8 +238,7 @@ func (l *Log) Append(rec Record) (uint64, error) {
 		return 0, fmt.Errorf("%w: marshal: %v", ErrAppend, err)
 	}
 	if _, err := l.f.Write(append(line, '\n')); err != nil {
-		l.err = fmt.Errorf("%w: %w", ErrAppend, err)
-		return 0, l.err
+		return 0, l.poison(fmt.Errorf("%w: %w", ErrAppend, err))
 	}
 	if l.onAppend != nil {
 		l.onAppend(rec)
@@ -231,8 +248,7 @@ func (l *Log) Append(rec Record) (uint64, error) {
 		l.onSync(err)
 	}
 	if err != nil {
-		l.err = fmt.Errorf("%w: fsync: %w", ErrAppend, err)
-		return 0, l.err
+		return 0, l.poison(fmt.Errorf("%w: fsync: %w", ErrAppend, err))
 	}
 	return rec.LSN, nil
 }
@@ -283,14 +299,12 @@ type Txn struct {
 // Begin opens the transaction for one release. It writes nothing: the
 // intent rides the commit record. On a poisoned or frozen log it
 // returns the log's sticky error, so the caller refuses before any
-// noise is drawn. On a nil log it returns a no-op transaction, so
-// WAL-disabled callers run unchanged.
+// noise is drawn; it reads that error without the append lock, so it
+// never waits for another request's fsync. On a nil log it returns a
+// no-op transaction, so WAL-disabled callers run unchanged.
 func (l *Log) Begin(it Intent) (*Txn, error) {
 	if l != nil {
-		l.mu.Lock()
-		err := l.err
-		l.mu.Unlock()
-		if err != nil {
+		if err := l.sticky(); err != nil {
 			return nil, err
 		}
 	}

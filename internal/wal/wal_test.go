@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/mechanism"
 )
@@ -391,10 +392,13 @@ func FuzzWALRepair(f *testing.F) {
 // faultFile passes writes and fsyncs through to the log's file until
 // armed: failWrite lands the first half of the next write and fails it
 // (ENOSPC part-way through a record), failSync fails the next fsync
-// after its write landed (EIO).
+// after its write landed (EIO), and held makes the next fsync close held
+// and then wait until release is closed (an fsync stuck in the device
+// while Append holds the log's lock).
 type faultFile struct {
 	file
 	failWrite, failSync bool
+	held, release       chan struct{}
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
@@ -407,6 +411,11 @@ func (f *faultFile) Write(p []byte) (int, error) {
 }
 
 func (f *faultFile) Sync() error {
+	if f.held != nil {
+		close(f.held)
+		f.held = nil
+		<-f.release
+	}
 	if f.failSync {
 		f.failSync = false
 		return syscall.EIO
@@ -482,5 +491,52 @@ func TestPoisonOnFailedSync(t *testing.T) {
 	_, recs := openT(t, path)
 	if len(recs) != 2 || recs[0].Seed != 1 || recs[1].Seed != 2 {
 		t.Fatalf("reopen recovered %+v, want commits A and B and nothing after", recs)
+	}
+}
+
+// TestBeginDoesNotWaitForFsync: Append holds the log's lock across its
+// fsync, so a Begin that read the sticky error under that lock would
+// wait a whole fsync of another request before admission. Begin must
+// return while an append is stuck mid-fsync; the append then succeeds
+// once the fsync returns, and a poisoned log still fails Begin.
+func TestBeginDoesNotWaitForFsync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "held.wal")
+	l, _ := openT(t, path)
+	ff := &faultFile{file: l.f, held: make(chan struct{}), release: make(chan struct{})}
+	held := ff.held
+	l.f = ff
+	appended := make(chan error, 1)
+	go func() { appended <- commitT(l, Intent{Endpoint: "fit", Seed: 1, Epsilon: 0.5}) }()
+	<-held // the append holds the lock inside its fsync
+	begun := make(chan error, 1)
+	go func() {
+		tx, err := l.Begin(Intent{Endpoint: "fit", Seed: 2})
+		tx.Release()
+		begun <- err
+	}()
+	var beginErr error
+	waited := false
+	select {
+	case beginErr = <-begun:
+	case <-time.After(5 * time.Second):
+		waited = true
+	}
+	close(ff.release) // the stuck fsync returns, so no goroutine outlives the test
+	if err := <-appended; err != nil {
+		t.Fatalf("append after its fsync returned: %v", err)
+	}
+	if waited {
+		<-begun
+		t.Fatal("Begin waited for another request's fsync")
+	}
+	if beginErr != nil {
+		t.Fatalf("Begin on a healthy log: %v", beginErr)
+	}
+	ff.failSync = true
+	if err := commitT(l, Intent{Endpoint: "fit", Seed: 3, Epsilon: 0.5}); !errors.Is(err, ErrAppend) {
+		t.Fatalf("commit with a failed fsync: err=%v, want ErrAppend", err)
+	}
+	if _, err := l.Begin(Intent{Endpoint: "fit", Seed: 4}); !errors.Is(err, ErrAppend) {
+		t.Fatalf("Begin on a poisoned log: err=%v, want ErrAppend", err)
 	}
 }
