@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json certify race cover bench bench-json bench-serve servebench-check serve-test experiments experiments-check quick-experiments fmt fmt-check fuzz-smoke chaos chaos-restart loc
+.PHONY: all build test vet lint lint-json certify race cover bench bench-json bench-serve servebench-check serve-test experiments experiments-check quick-experiments fmt fmt-check fuzz-smoke chaos chaos-restart loc cross
 
 all: build vet lint test
 
@@ -11,6 +11,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Cross-build for arm64: vet the tree and compile every package's test
+# binary into a throwaway directory. Nothing runs; running the goldens
+# on arm64 needs arm64 hardware or an emulator.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	@dir=$$(mktemp -d); GOARCH=arm64 $(GO) test -c -o $$dir/ ./...; status=$$?; \
+	  echo "arm64 test binaries: $$(ls $$dir | wc -l)"; rm -rf $$dir; exit $$status
 
 # Run the privacy-correctness linter (cmd/dplearn-lint) over the module.
 # Exits non-zero when any error-severity finding survives suppression.

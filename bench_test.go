@@ -213,7 +213,7 @@ func BenchmarkCertify10kCold(b *testing.B) {
 }
 
 // BenchmarkCertify10kWarm certifies repeatedly on one Learner, so every
-// iteration after the first hits the fingerprint-keyed risk cache.
+// iteration after the first makes its one risk-cache lookup a hit.
 func BenchmarkCertify10kWarm(b *testing.B) {
 	_, _, d := benchRiskSetup()
 	l := benchLearner(b, 0)

@@ -49,9 +49,10 @@ type Accountant = mechanism.Accountant
 // Config configures a private learner. See core.Config. Config.Parallel
 // sets the worker fan-out for the learner's hot paths (risk grids,
 // channel sums); results are bit-identical for every worker count. The
-// Learner additionally memoizes risk vectors by dataset fingerprint, so
-// Fit + Certify + AccountInformation on the same data evaluate the
-// O(|Θ|·n) risk grid once.
+// Learner computes the risk vector R̂ once per Fit or Certify call, and
+// memoizes risk vectors keyed by a SHA-256 of the data's bits, so Fit +
+// Certify + AccountInformation on the same data evaluate the O(|Θ|·n)
+// risk grid once.
 type Config = core.Config
 
 // Learner is a configured private learner. See core.Learner.

@@ -65,7 +65,7 @@ func TestIntegrationLearnAuditCertify(t *testing.T) {
 
 	// 3. The Catoni bound in the certificate matches an independent
 	// recomputation through pacbayes, rescaled for the 0-1 loss.
-	st, err := est.Stats(train)
+	st, err := est.Stats(est.Risks(train))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ import (
 //
 // Ranging over the raw data again is allowed — feeding it to a second
 // mechanism is composition, priced by acctlint, not a violation. Public
-// scalars (d.Len(), fingerprints, error values) are clean.
+// scalars (d.Len(), error values) are clean.
 var PostProc = register(&Analyzer{
 	Name:     "postproc",
 	Doc:      "no branching on raw (pre-release) data after a release on the same path; post-processing may only consume released values",
@@ -182,8 +182,7 @@ func reportPostProc(p *Pass, c *cfg, condBlk *cfgBlock, cond ast.Expr, kind stri
 }
 
 // isSanitizer reports whether call launders raw data into a clean value:
-// a DP release, or a public scalar of the data (its size or an opaque
-// cache fingerprint).
+// a DP release, or a public scalar of the data (its size).
 func isSanitizer(pkg *Package, call *ast.CallExpr) bool {
 	if isReleaseCall(pkg, call) {
 		return true
@@ -192,11 +191,7 @@ func isSanitizer(pkg *Package, call *ast.CallExpr) bool {
 	if !ok {
 		return false
 	}
-	switch sel.Sel.Name {
-	case "Len", "Fingerprint":
-		return true
-	}
-	return false
+	return sel.Sel.Name == "Len"
 }
 
 // directFuncLits returns the outermost function literals in body.

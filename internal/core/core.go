@@ -67,11 +67,13 @@ type Config struct {
 
 // Learner is a configured private learner. Its configuration is
 // immutable and it is safe for concurrent use with per-goroutine RNGs.
-// Internally it memoizes risk vectors by dataset fingerprint, so Fit,
-// Certify, and AccountInformation on the same data evaluate the
-// O(|Θ|·n) risk grid once, and it remembers the most recent successful
-// fit so DegradeFallback can re-release it when the budget runs out;
-// both caches are mutex-guarded and change no result.
+// Fit and Certify compute the risk vector R̂ once per call and hand it
+// to the draw and the certificate. Internally the learner memoizes risk
+// vectors keyed by a SHA-256 of the data's bits, so Fit, Certify, and
+// AccountInformation on the same data evaluate the O(|Θ|·n) risk grid
+// once, and it remembers the most recent successful fit so
+// DegradeFallback can re-release it when the budget runs out; both
+// caches are mutex-guarded and change no result.
 type Learner struct {
 	cfg   Config
 	cache *gibbs.RiskCache
@@ -174,17 +176,22 @@ func (l *Learner) Fit(d *dataset.Dataset, g *rng.RNG) (*Fitted, error) {
 	return l.FitCtx(context.Background(), d, g)
 }
 
-// certificateFromStats assembles the certificate from computed
-// PAC-Bayes statistics.
-func (l *Learner) certificateFromStats(est *gibbs.Estimator, d *dataset.Dataset, st pacbayes.PosteriorStats) (Certificate, error) {
+// certificate assembles the certificate of est's posterior for the risk
+// vector risks on a sample of size n: one posterior normalization
+// (Stats), then Catoni's bound.
+func (l *Learner) certificate(est *gibbs.Estimator, n int, risks []float64) (Certificate, error) {
+	st, err := est.Stats(risks)
+	if err != nil {
+		return Certificate{}, err
+	}
 	m := l.cfg.Loss.Bound()
 	// Catoni's bound works on [0,1] losses; rescale.
-	bound01, err := pacbayes.CatoniBound(st.ExpEmpRisk/m, st.KL, est.Lambda*m, d.Len(), l.cfg.Delta)
+	bound01, err := pacbayes.CatoniBound(st.ExpEmpRisk/m, st.KL, est.Lambda*m, n, l.cfg.Delta)
 	if err != nil {
 		return Certificate{}, err
 	}
 	return Certificate{
-		Privacy:    est.Guarantee(d.Len()),
+		Privacy:    est.Guarantee(n),
 		Lambda:     est.Lambda,
 		RiskBound:  bound01 * m,
 		Delta:      l.cfg.Delta,
@@ -193,8 +200,11 @@ func (l *Learner) certificateFromStats(est *gibbs.Estimator, d *dataset.Dataset,
 	}, nil
 }
 
-// Certify evaluates the certificates without sampling (no privacy is
-// spent by computing the certificate alone, since it is not released).
+// Certify evaluates the certificates without sampling, and charges no ε
+// for them. Only Fit's θ draw is ε-DP: RiskBound, ExpEmpRisk and KL are
+// exact, noise-free functions of d, so neighbouring datasets can give
+// different values. They are diagnostics for the tenant who supplied d,
+// not outputs to publish — and every Fit returns the same fields.
 func (l *Learner) Certify(d *dataset.Dataset) (Certificate, error) {
 	return l.CertifyCtx(context.Background(), d)
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gibbs"
 	"repro/internal/mechanism"
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -111,34 +112,17 @@ func (l *Learner) FitCtx(ctx context.Context, d *dataset.Dataset, g *rng.RNG) (*
 //  2. Reserve the planned guarantee against the accountant's budget —
 //     an ErrBudgetExhausted here triggers the requested DegradePolicy
 //     with nothing charged;
-//  3. sample the posterior under ctx — a cancellation or worker fault
-//     releases the reservation, so a failed release never charges the
-//     ledger;
+//  3. sample the posterior — an error or panic releases the
+//     reservation, so a failed release never charges the ledger;
 //  4. Commit the reservation, which appends the ledger record exactly
 //     as SpendDetail would.
+//
+// The draw and the certificate share the one risk vector step 1
+// evaluated (see prelude), so a fit makes one risk-cache lookup.
 func (l *Learner) FitPolicyCtx(ctx context.Context, d *dataset.Dataset, g *rng.RNG, policy DegradePolicy) (*Fitted, error) {
-	if d == nil || d.Len() == 0 {
-		return nil, fmt.Errorf("%w: empty dataset", ErrBadConfig)
-	}
-	if err := validateDataset(d); err != nil {
-		return nil, err
-	}
-	o := l.cfg.Parallel.Obs
-	// A child of the request span when the serve layer put one in ctx, a
-	// root span otherwise; either way the derived ctx carries it onward
-	// into the risk grids and the parallel engine's chunk spans.
-	ctx, sp := o.StartSpanCtx(ctx, "fit")
-	sp.SetAttr("n", d.Len())
+	ctx, sp, est, risks, err := l.prelude(ctx, "fit", d)
 	defer sp.End()
-	est, err := l.Estimator(d.Len())
 	if err != nil {
-		return nil, err
-	}
-	risks, err := est.RisksCtx(ctx, d)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateRisks(risks); err != nil {
 		return nil, err
 	}
 	degraded := false
@@ -151,6 +135,7 @@ func (l *Learner) FitPolicyCtx(ctx context.Context, d *dataset.Dataset, g *rng.R
 			}
 			return nil, fmt.Errorf("core: budget exhausted and no cached fit to fall back to: %w", err)
 		case DegradeWiden:
+			// R̂ does not depend on λ, so the widened draw reuses risks.
 			est, res, err = l.widen(d.Len())
 			if err != nil {
 				return nil, err
@@ -165,8 +150,9 @@ func (l *Learner) FitPolicyCtx(ctx context.Context, d *dataset.Dataset, g *rng.R
 	// The deferred Release is a no-op once Commit ran; on every error and
 	// panic path below it returns the reserved headroom uncharged.
 	defer res.Release()
+	o := l.cfg.Parallel.Obs
 	start := o.Now()
-	idx, err := est.SampleCtx(ctx, d, g)
+	idx, err := est.Sample(risks, g)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +165,7 @@ func (l *Learner) FitPolicyCtx(ctx context.Context, d *dataset.Dataset, g *rng.R
 		Trace:       sp.TraceID(),
 		Charge:      mechanism.ChargeScopeFrom(ctx),
 	})
-	cert, err := l.certificateCtx(ctx, est, d)
+	cert, err := l.certificate(est, d.Len(), risks)
 	if err != nil {
 		return nil, err
 	}
@@ -192,6 +178,37 @@ func (l *Learner) FitPolicyCtx(ctx context.Context, d *dataset.Dataset, g *rng.R
 	}
 	l.storeFit(fit)
 	return fit, nil
+}
+
+// prelude is the start FitPolicyCtx and CertifyCtx share. It validates
+// d, starts the call's span (a child of the request span when ctx
+// carries one), calibrates the estimator for d's size, and evaluates the
+// risk vector R̂ once — the call's one risk-cache lookup — rejecting a
+// non-finite entry with ErrNonFiniteInput. The span is nil when d fails
+// validation; the caller ends it on every path (End is nil-safe).
+func (l *Learner) prelude(ctx context.Context, name string, d *dataset.Dataset) (context.Context, *obs.Span, *gibbs.Estimator, []float64, error) {
+	if d == nil || d.Len() == 0 {
+		return ctx, nil, nil, nil, fmt.Errorf("%w: empty dataset", ErrBadConfig)
+	}
+	if err := validateDataset(d); err != nil {
+		return ctx, nil, nil, nil, err
+	}
+	// The derived ctx carries the span onward into the risk grid and the
+	// parallel engine's chunk spans.
+	ctx, sp := l.cfg.Parallel.Obs.StartSpanCtx(ctx, name)
+	sp.SetAttr("n", d.Len())
+	est, err := l.Estimator(d.Len())
+	if err != nil {
+		return ctx, sp, nil, nil, err
+	}
+	risks, err := est.RisksCtx(ctx, d)
+	if err != nil {
+		return ctx, sp, nil, nil, err
+	}
+	if err := validateRisks(risks); err != nil {
+		return ctx, sp, nil, nil, err
+	}
+	return ctx, sp, est, risks, nil
 }
 
 // widen recalibrates the estimator so the release costs at most the
@@ -234,7 +251,6 @@ func (l *Learner) widen(n int) (*gibbs.Estimator, *mechanism.Reservation, error)
 		est.Lambda = math.Nextafter(est.Lambda, 0)
 	}
 	est.Parallel = l.cfg.Parallel
-	est.Cache = l.cache
 	return est, res, nil
 }
 
@@ -267,33 +283,17 @@ func (l *Learner) storeFit(f *Fitted) {
 	l.lastFit = &cp
 }
 
-// certificateCtx is certificate under a context.
-func (l *Learner) certificateCtx(ctx context.Context, est *gibbs.Estimator, d *dataset.Dataset) (Certificate, error) {
-	st, err := est.StatsCtx(ctx, d)
-	if err != nil {
-		return Certificate{}, err
-	}
-	return l.certificateFromStats(est, d, st)
-}
-
-// CertifyCtx is Certify under a context: the risk grid and posterior
-// honor cancellation. No privacy is spent (the certificate is not
-// released).
+// CertifyCtx is Certify under a context: the risk grid honors
+// cancellation. It charges no ε, yet its result is not private: the
+// certificate's RiskBound, ExpEmpRisk and KL are exact functions of d,
+// so they are for the tenant who supplied d (see Certify).
 func (l *Learner) CertifyCtx(ctx context.Context, d *dataset.Dataset) (Certificate, error) {
-	if d == nil || d.Len() == 0 {
-		return Certificate{}, fmt.Errorf("%w: empty dataset", ErrBadConfig)
-	}
-	if err := validateDataset(d); err != nil {
-		return Certificate{}, err
-	}
-	ctx, sp := l.cfg.Parallel.Obs.StartSpanCtx(ctx, "certify")
-	sp.SetAttr("n", d.Len())
+	_, sp, est, risks, err := l.prelude(ctx, "certify", d)
 	defer sp.End()
-	est, err := l.Estimator(d.Len())
 	if err != nil {
 		return Certificate{}, err
 	}
-	return l.certificateCtx(ctx, est, d)
+	return l.certificate(est, d.Len(), risks)
 }
 
 // AccountInformationCtx is AccountInformation under a context: the

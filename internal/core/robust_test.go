@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/learn"
 	"repro/internal/mathx"
 	"repro/internal/mechanism"
 	"repro/internal/rng"
@@ -29,8 +30,9 @@ func budgetedLearner(t *testing.T, cfgEps float64, acct *mechanism.Accountant, p
 	return l, d, g
 }
 
-// TestFitRejectsNonFiniteData pins the facade validation: NaN/Inf data
-// fails typed, before any ε is spent.
+// TestFitRejectsNonFiniteData pins the facade validation: NaN/Inf data,
+// and finite data whose risk grid is not finite, fail typed in Fit and
+// Certify alike, before any ε is spent.
 func TestFitRejectsNonFiniteData(t *testing.T) {
 	var acct mechanism.Accountant
 	l, d, g := budgetedLearner(t, 1, &acct, DegradeRefuse)
@@ -44,6 +46,27 @@ func TestFitRejectsNonFiniteData(t *testing.T) {
 		dd.Examples[5].Y = bad
 		if _, err := l.Fit(dd, g); !errors.Is(err, ErrNonFiniteInput) {
 			t.Fatalf("label %v: want ErrNonFiniteInput, got %v", bad, err)
+		}
+	}
+	// Finite rows at ±1e308: θ·x overflows to Inf − Inf = NaN, so a
+	// clipped squared or absolute loss gives a NaN risk.
+	huge := dataset.New([]dataset.Example{
+		{X: []float64{1e308, -1e308}, Y: 1},
+		{X: []float64{-1e308, 1e308}, Y: -1},
+	})
+	for _, loss := range []learn.Loss{
+		learn.NewClippedLoss(learn.SquaredLoss{}, 4),
+		learn.NewClippedLoss(learn.AbsoluteLoss{}, 1),
+	} {
+		hl, err := NewLearner(Config{Loss: loss, Thetas: learn.NewGrid(-2, 2, 2, 5).Thetas(), Epsilon: 1, Acct: &acct})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hl.Fit(huge, g); !errors.Is(err, ErrNonFiniteInput) {
+			t.Fatalf("%s Fit on overflowing rows: want ErrNonFiniteInput, got %v", loss.Name(), err)
+		}
+		if _, err := hl.Certify(huge); !errors.Is(err, ErrNonFiniteInput) {
+			t.Fatalf("%s Certify on overflowing rows: want ErrNonFiniteInput, got %v", loss.Name(), err)
 		}
 	}
 	if acct.Count() != 0 || acct.Reserved() != 0 {

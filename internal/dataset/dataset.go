@@ -107,45 +107,6 @@ func equalExample(a, b Example) bool {
 	return true
 }
 
-// Fingerprint is a 128-bit content hash of a dataset, used as the key of
-// gibbs.RiskCache. Two datasets with equal examples (bitwise, in order)
-// have equal fingerprints; a collision between unequal datasets requires
-// two independent 64-bit FNV hashes to collide simultaneously.
-type Fingerprint [2]uint64
-
-// Fingerprint hashes the dataset's full contents: n, every feature
-// vector (length and IEEE-754 bits), and every label. It is a pure
-// function of the data, so repeated calls on unchanged data are stable
-// across processes and platforms.
-func (d *Dataset) Fingerprint() Fingerprint {
-	// Two FNV-1a streams with distinct offset bases, mixed with distinct
-	// primes — cheap, allocation-free, and independent enough that the
-	// 128-bit concatenation makes accidental collisions negligible.
-	const (
-		offset1 = 0xcbf29ce484222325
-		offset2 = 0x9ae16a3b2f90404f
-		prime1  = 0x100000001b3
-		prime2  = 0x9ddfea08eb382d69
-	)
-	h1, h2 := uint64(offset1), uint64(offset2)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			b := (v >> s) & 0xff
-			h1 = (h1 ^ b) * prime1
-			h2 = (h2 ^ b) * prime2
-		}
-	}
-	mix(uint64(len(d.Examples)))
-	for _, e := range d.Examples {
-		mix(uint64(len(e.X)))
-		for _, x := range e.X {
-			mix(math.Float64bits(x))
-		}
-		mix(math.Float64bits(e.Y))
-	}
-	return Fingerprint{h1, h2}
-}
-
 // Labels returns a copy of all Y values.
 func (d *Dataset) Labels() []float64 {
 	out := make([]float64, len(d.Examples))

@@ -61,8 +61,12 @@ func E11ExpectationBound(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			post := est.LogPosterior(d)
-			st, err := pacbayes.StatsFor(post, logPrior, est.Risks(d))
+			risks := est.Risks(d)
+			post, err := est.LogPosterior(risks)
+			if err != nil {
+				return nil, err
+			}
+			st, err := pacbayes.StatsFor(post, logPrior, risks)
 			if err != nil {
 				return nil, err
 			}

@@ -52,7 +52,8 @@ func E3CatoniBound(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			st, err := est.Stats(d)
+			risks := est.Risks(d)
+			st, err := est.Stats(risks)
 			if err != nil {
 				return nil, err
 			}
@@ -61,7 +62,10 @@ func E3CatoniBound(opts Options) (*Table, error) {
 				return nil, err
 			}
 			// Posterior-expected true risk.
-			post := est.LogPosterior(d)
+			post, err := est.LogPosterior(risks)
+			if err != nil {
+				return nil, err
+			}
 			var tr mathx.KahanSum
 			for i, lp := range post {
 				if math.IsInf(lp, -1) {

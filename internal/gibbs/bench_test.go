@@ -26,7 +26,9 @@ func BenchmarkLogPosterior289(b *testing.B) {
 	est, d := benchEstimator(b, 17)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = est.LogPosterior(d)
+		if _, err := est.LogPosterior(est.Risks(d)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -35,7 +37,9 @@ func BenchmarkSample289(b *testing.B) {
 	g := rng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = est.Sample(d, g)
+		if _, err := est.Sample(est.Risks(d), g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

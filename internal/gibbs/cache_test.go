@@ -91,31 +91,39 @@ func TestRiskCacheEvictsAtCapacity(t *testing.T) {
 	}
 }
 
-// TestFingerprintDistinguishesData: the dataset fingerprint must
-// separate datasets that differ in one value, in length, or in shape —
-// a collision would silently serve the wrong risk vector.
+// TestFingerprintDistinguishesData: the cache's content key must
+// separate datasets that differ in one value, in length, or in how their
+// values split into rows — a collision would silently serve the wrong
+// risk vector — and must match for equal content.
 func TestFingerprintDistinguishesData(t *testing.T) {
 	base := cacheTestData(7, 25)
-	fp := base.Fingerprint()
+	key := contentKey(base)
 
-	if got := cacheTestData(8, 25).Fingerprint(); got == fp {
-		t.Error("different sample, same fingerprint")
+	if contentKey(cacheTestData(8, 25)) == key {
+		t.Error("different sample, same key")
 	}
-	if got := cacheTestData(7, 24).Fingerprint(); got == fp {
-		t.Error("different length, same fingerprint")
+	if contentKey(cacheTestData(7, 24)) == key {
+		t.Error("different length, same key")
 	}
 	mutated := base.Clone()
 	mutated.Examples[0].Y += 1e-9
-	if got := mutated.Fingerprint(); got == fp {
-		t.Error("perturbed label, same fingerprint")
+	if contentKey(mutated) == key {
+		t.Error("perturbed label, same key")
 	}
 	mutated2 := base.Clone()
 	mutated2.Examples[3].X[0] = math.Nextafter(mutated2.Examples[3].X[0], 2)
-	if got := mutated2.Fingerprint(); got == fp {
-		t.Error("one-ulp feature change, same fingerprint")
+	if contentKey(mutated2) == key {
+		t.Error("one-ulp feature change, same key")
 	}
-	if got := base.Clone().Fingerprint(); got != fp {
-		t.Error("identical content, different fingerprint")
+	if contentKey(base.Clone()) != key {
+		t.Error("identical content, different key")
+	}
+	// The same five values in the same order, split into rows
+	// [a b | c] [d | e] against [a | b] [c d | e] (features | label).
+	split1 := dataset.New([]dataset.Example{{X: []float64{0.1, 0.2}, Y: 0.3}, {X: []float64{0.4}, Y: 0.5}})
+	split2 := dataset.New([]dataset.Example{{X: []float64{0.1}, Y: 0.2}, {X: []float64{0.3, 0.4}, Y: 0.5}})
+	if contentKey(split1) == contentKey(split2) {
+		t.Error("different row split, same key")
 	}
 }
 

@@ -59,12 +59,18 @@ func TestLambdaForEpsilonErrSentinels(t *testing.T) {
 	LambdaForEpsilon(1, learn.AbsoluteLoss{}, 10)
 }
 
-// TestEstimatorCtxMatchesPlain pins that the ctx variants are
-// bit-identical to the plain methods when the context never cancels.
+// TestEstimatorCtxMatchesPlain pins that the dataset-taking methods
+// (LogProbabilities, SampleTheta) are bit-identical to the risk-taking
+// ones fed the vector RisksCtx returns under a context that never
+// cancels.
 func TestEstimatorCtxMatchesPlain(t *testing.T) {
 	e, d := ctxTestEstimator(t)
-	post := e.LogPosterior(d)
-	postCtx, err := e.LogPosteriorCtx(context.Background(), d)
+	risks, err := e.RisksCtx(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := e.LogProbabilities(d)
+	postCtx, err := e.LogPosterior(risks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,27 +79,31 @@ func TestEstimatorCtxMatchesPlain(t *testing.T) {
 			t.Fatalf("posterior slot %d differs", i)
 		}
 	}
-	i1 := e.Sample(d, rng.New(7))
-	i2, err := e.SampleCtx(context.Background(), d, rng.New(7))
-	if err != nil || i1 != i2 {
-		t.Fatalf("Sample=%d SampleCtx=(%d,%v)", i1, i2, err)
+	th := e.SampleTheta(d, rng.New(7))
+	i2, err := e.Sample(risks, rng.New(7))
+	if err != nil || th[0] != e.Thetas[i2][0] {
+		t.Fatalf("SampleTheta=%v Sample=(%d,%v)", th, i2, err)
 	}
 }
 
-// TestEstimatorCtxCanceled pins that a canceled context aborts before
-// the draw with a context error, not a corrupt sample.
+// TestEstimatorCtxCanceled pins that a canceled context stops the risk
+// evaluation with a context error, before any posterior quantity can be
+// computed from a partial vector.
 func TestEstimatorCtxCanceled(t *testing.T) {
 	e, d := ctxTestEstimator(t)
-	// Large enough that RiskVectorCtx does not collapse to the small-work
-	// serial path before the ctx check matters; cancellation is checked
-	// at chunk boundaries either way.
+	// Cancellation is checked at chunk boundaries, so even this small
+	// grid stops.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.RisksCtx(ctx, d); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RisksCtx: want context.Canceled, got %v", err)
 	}
-	if _, err := e.SampleCtx(ctx, d, rng.New(1)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SampleCtx: want context.Canceled, got %v", err)
+	e.Cache = NewRiskCache()
+	if _, err := e.RisksCtx(ctx, d); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cached RisksCtx: want context.Canceled, got %v", err)
+	}
+	if e.Cache.Len() != 0 {
+		t.Fatalf("a canceled evaluation stored %d vectors", e.Cache.Len())
 	}
 }
 
@@ -102,20 +112,24 @@ func TestEstimatorCtxCanceled(t *testing.T) {
 func TestSampleCtxDegeneratePosterior(t *testing.T) {
 	e, d := ctxTestEstimator(t)
 	e.LogPrior = []float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
-	if _, err := e.SampleCtx(context.Background(), d, rng.New(1)); !errors.Is(err, ErrDegeneratePosterior) {
-		t.Fatalf("want ErrDegeneratePosterior, got %v", err)
+	risks := e.Risks(d)
+	if _, err := e.Sample(risks, rng.New(1)); !errors.Is(err, ErrDegeneratePosterior) {
+		t.Fatalf("Sample: want ErrDegeneratePosterior, got %v", err)
 	}
-	if _, err := e.LogPosteriorCtx(context.Background(), d); !errors.Is(err, ErrDegeneratePosterior) {
-		t.Fatalf("LogPosteriorCtx: want ErrDegeneratePosterior, got %v", err)
+	if _, err := e.LogPosterior(risks); !errors.Is(err, ErrDegeneratePosterior) {
+		t.Fatalf("LogPosterior: want ErrDegeneratePosterior, got %v", err)
 	}
-	// The plain Sample panics with the same typed error.
+	if _, err := e.Stats(risks); !errors.Is(err, ErrDegeneratePosterior) {
+		t.Fatalf("Stats: want ErrDegeneratePosterior, got %v", err)
+	}
+	// The dataset-taking SampleTheta panics with the same typed error.
 	func() {
 		defer func() {
 			r := recover()
 			if err, _ := r.(error); !errors.Is(err, ErrDegeneratePosterior) {
-				t.Fatalf("Sample: want a panic wrapping ErrDegeneratePosterior, got %v", r)
+				t.Fatalf("SampleTheta: want a panic wrapping ErrDegeneratePosterior, got %v", r)
 			}
 		}()
-		e.Sample(d, rng.New(1))
+		e.SampleTheta(d, rng.New(1))
 	}()
 }

@@ -17,6 +17,7 @@ package gibbs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/dataset"
@@ -47,11 +48,11 @@ type Estimator struct {
 	// posterior reductions. The zero value uses all CPUs; every setting
 	// produces bit-identical results (see package parallel).
 	Parallel parallel.Options
-	// Cache optionally memoizes risk vectors by dataset fingerprint, so
-	// repeated posterior computations on the same data evaluate the
-	// O(|Θ|·n) risk grid once. The cache must be dedicated to this
-	// (Loss, Thetas) pair; core.Learner threads one through every
-	// estimator it calibrates. Nil disables memoization.
+	// Cache optionally memoizes the risk vectors Risks and RisksCtx
+	// return, keyed by a SHA-256 of the data's bits, so repeated calls on
+	// the same data evaluate the O(|Θ|·n) risk grid once. The cache must
+	// be dedicated to this (Loss, Thetas) pair; core.Learner threads one
+	// through every estimator it calibrates. Nil disables memoization.
 	Cache *RiskCache
 }
 
@@ -94,20 +95,28 @@ func (e *Estimator) Risks(d *dataset.Dataset) []float64 {
 	return r
 }
 
-// LogPosterior returns the normalized Gibbs log-posterior on dataset d.
-// The posterior-normalization step (log-sum-exp over Θ) is timed on the
-// wired observer as the dplearn_gibbs_posterior_ticks histogram and a
-// gibbs.posterior span.
-func (e *Estimator) LogPosterior(d *dataset.Dataset) []float64 {
-	post, err := e.LogPosteriorCtx(context.Background(), d)
-	if err != nil {
-		// Only reachable with a degenerate (-Inf everywhere) prior, which
-		// New rejects implicitly through normalization in callers. The
-		// panic value wraps ErrDegeneratePosterior, so a recovering
-		// caller can still classify it.
-		panic(err)
+// LogPosterior returns the normalized Gibbs log-posterior for the risk
+// vector risks = R̂_Ẑ, one entry per predictor, as Risks or RisksCtx
+// return it. The posterior depends on the sample only through that
+// vector (Lemma 3.2), so a caller evaluates it once and hands it to every
+// posterior quantity. The normalization step (log-sum-exp over Θ) is
+// timed on the wired observer as the dplearn_gibbs_posterior_ticks
+// histogram and a gibbs.posterior span. A posterior with no admissible
+// predictor returns ErrDegeneratePosterior.
+func (e *Estimator) LogPosterior(risks []float64) ([]float64, error) {
+	o := e.Parallel.Obs
+	sp := o.Span("gibbs.posterior")
+	start := o.Now()
+	post, perr := pacbayes.GibbsLogPosterior(e.logPriorOrUniform(), risks, e.Lambda)
+	o.Reg().Histogram("dplearn_gibbs_posterior_ticks",
+		"posterior-normalization duration in clock ticks", posteriorTickBuckets).
+		Observe(float64(o.Now() - start))
+	sp.SetAttr("thetas", len(e.Thetas))
+	sp.End()
+	if perr != nil {
+		return nil, fmt.Errorf("%w: %v", ErrDegeneratePosterior, perr)
 	}
-	return post
+	return post, nil
 }
 
 // posteriorTickBuckets spans sub-microsecond logical ticks up to
@@ -115,25 +124,46 @@ func (e *Estimator) LogPosterior(d *dataset.Dataset) []float64 {
 var posteriorTickBuckets = []float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 
 // LogProbabilities implements the audit.DiscreteMechanism interface: the
-// mechanism's exact output distribution on d.
+// mechanism's exact output distribution on d, from one Risks call. A
+// posterior with no admissible predictor panics with an error wrapping
+// ErrDegeneratePosterior.
 func (e *Estimator) LogProbabilities(d *dataset.Dataset) []float64 {
-	return e.LogPosterior(d)
-}
-
-// Sample draws a predictor index from the Gibbs posterior. A posterior
-// with no admissible predictor panics with an error wrapping
-// ErrDegeneratePosterior; SampleCtx returns it instead.
-func (e *Estimator) Sample(d *dataset.Dataset, g *rng.RNG) int {
-	i, err := e.SampleCtx(context.Background(), d, g)
+	post, err := e.LogPosterior(e.Risks(d))
 	if err != nil {
 		panic(err)
 	}
-	return i
+	return post
 }
 
-// SampleTheta draws a predictor vector from the Gibbs posterior.
+// Sample draws a predictor index from the Gibbs posterior for the risk
+// vector risks (see LogPosterior), through the unnormalized log-weights
+// log π − λ·R̂. A posterior with no admissible predictor returns
+// ErrDegeneratePosterior instead of corrupting the draw.
+func (e *Estimator) Sample(risks []float64, g *rng.RNG) (int, error) {
+	prior := e.logPriorOrUniform()
+	logw := make([]float64, len(e.Thetas))
+	degenerate := true
+	for i := range logw {
+		logw[i] = prior[i] - e.Lambda*risks[i]
+		if !math.IsInf(logw[i], -1) && !math.IsNaN(logw[i]) {
+			degenerate = false
+		}
+	}
+	if degenerate {
+		return 0, fmt.Errorf("%w: every predictor has zero posterior weight", ErrDegeneratePosterior)
+	}
+	return g.CategoricalLog(logw), nil
+}
+
+// SampleTheta draws a predictor vector from the Gibbs posterior on d,
+// from one Risks call. A posterior with no admissible predictor panics
+// with an error wrapping ErrDegeneratePosterior.
 func (e *Estimator) SampleTheta(d *dataset.Dataset, g *rng.RNG) []float64 {
-	return append([]float64(nil), e.Thetas[e.Sample(d, g)]...)
+	i, err := e.Sample(e.Risks(d), g)
+	if err != nil {
+		panic(err)
+	}
+	return append([]float64(nil), e.Thetas[i]...)
 }
 
 // RiskSensitivity returns ΔR̂ = Bound/n, the global sensitivity of the
@@ -151,9 +181,10 @@ func (e *Estimator) Guarantee(n int) mechanism.Guarantee {
 
 // PosteriorMeanTheta returns E_{θ~π̂} θ, the posterior-mean parameter
 // vector (a useful deterministic summary, though releasing it is NOT
-// covered by the sampling privacy certificate).
+// covered by the sampling privacy certificate). It panics like
+// LogProbabilities.
 func (e *Estimator) PosteriorMeanTheta(d *dataset.Dataset) []float64 {
-	post := e.LogPosterior(d)
+	post := e.LogProbabilities(d)
 	weights := parallel.Map(len(post), e.Parallel, func(i int) float64 {
 		if math.IsInf(post[i], -1) {
 			return 0
@@ -172,10 +203,15 @@ func (e *Estimator) PosteriorMeanTheta(d *dataset.Dataset) []float64 {
 }
 
 // Stats returns the PAC-Bayes statistics (expected empirical risk and
-// KL(π̂‖π)) of the Gibbs posterior on d, ready to plug into the bounds.
-// It is StatsCtx without cancellation.
-func (e *Estimator) Stats(d *dataset.Dataset) (pacbayes.PosteriorStats, error) {
-	return e.StatsCtx(context.Background(), d)
+// KL(π̂‖π)) of the Gibbs posterior for the risk vector risks, ready to
+// plug into the bounds. It normalizes the posterior once, through
+// LogPosterior, and returns its errors.
+func (e *Estimator) Stats(risks []float64) (pacbayes.PosteriorStats, error) {
+	post, err := e.LogPosterior(risks)
+	if err != nil {
+		return pacbayes.PosteriorStats{}, err
+	}
+	return pacbayes.StatsFor(post, e.logPriorOrUniform(), risks)
 }
 
 // UtilityBound returns the McSherry–Talwar utility guarantee transferred

@@ -43,11 +43,15 @@ func TestNewValidation(t *testing.T) {
 
 func TestLogPosteriorMatchesPacbayes(t *testing.T) {
 	est, d := testEstimator(t, 12)
-	post := est.LogPosterior(d)
+	risks := est.Risks(d)
+	post, err := est.LogPosterior(risks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !mathx.AlmostEqual(mathx.LogSumExp(post), 0, 1e-10) {
 		t.Error("posterior must normalize")
 	}
-	want, err := pacbayes.GibbsLogPosterior(est.logPriorOrUniform(), est.Risks(d), est.Lambda)
+	want, err := pacbayes.GibbsLogPosterior(est.logPriorOrUniform(), risks, est.Lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +67,18 @@ func TestSampleMatchesPosterior(t *testing.T) {
 	g := rng.New(3)
 	counts := make([]int, len(est.Thetas))
 	n := 200_000
+	risks := est.Risks(d)
 	for i := 0; i < n; i++ {
-		counts[est.Sample(d, g)]++
+		idx, err := est.Sample(risks, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[idx]++
 	}
-	post := est.LogPosterior(d)
+	post, err := est.LogPosterior(risks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, c := range counts {
 		want := math.Exp(post[i])
 		got := float64(c) / float64(n)
@@ -183,7 +195,7 @@ func TestConversionPanics(t *testing.T) {
 func TestPosteriorMeanRiskAndTheta(t *testing.T) {
 	est, d := testEstimator(t, 10)
 	risks := est.Risks(d)
-	st, err := est.Stats(d)
+	st, err := est.Stats(risks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +223,10 @@ func TestGibbsWithNonUniformPrior(t *testing.T) {
 	}
 	g := rng.New(11)
 	d := dataset.LogisticModel{Weights: []float64{1}}.Generate(20, g)
-	post := est.LogPosterior(d)
+	post, err := est.LogPosterior(est.Risks(d))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// At λ→0 the posterior equals the prior.
 	for i := range post {
 		if !mathx.AlmostEqual(post[i], prior[i], 1e-6) {
@@ -317,7 +332,7 @@ func TestMonotoneTradeoffInLambda(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := est.Stats(d)
+		st, err := est.Stats(est.Risks(d))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +359,11 @@ func TestGibbsUtilityBound(t *testing.T) {
 	trials := 5000
 	bad := 0
 	for i := 0; i < trials; i++ {
-		if risks[est.Sample(d, g)] > best+bound {
+		idx, err := est.Sample(risks, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if risks[idx] > best+bound {
 			bad++
 		}
 	}

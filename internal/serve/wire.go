@@ -69,7 +69,13 @@ type FitRequest struct {
 	Data    DataJSON `json:"data"`
 }
 
-// CertificateJSON is the wire form of a core.Certificate.
+// CertificateJSON is the wire form of a core.Certificate. Epsilon,
+// Delta, Lambda and Confidence depend on the learner's configuration,
+// the tenant's budget and the sample size, not on the data's values.
+// RiskBound, ExpEmpRisk and KL are
+// exact, noise-free functions of the posted data that neither fit nor
+// certify charges ε for: they are owner-only diagnostics for the tenant
+// who posted the data, not private outputs to publish (DESIGN §10).
 type CertificateJSON struct {
 	Epsilon    float64 `json:"epsilon"`
 	Delta      float64 `json:"delta,omitempty"`
@@ -102,7 +108,8 @@ type FitResponse struct {
 	Certificate CertificateJSON `json:"certificate"`
 }
 
-// CertifyRequest evaluates the certificates without releasing (free).
+// CertifyRequest evaluates the certificates of a fit without drawing θ;
+// it charges no ε (see CertificateJSON for who may read the result).
 type CertifyRequest struct {
 	Tenant string   `json:"tenant"`
 	Data   DataJSON `json:"data"`
