@@ -90,15 +90,16 @@ chaos-restart:
 	$(GO) test -race -run 'TestWALCrashChaosEveryBoundary|TestWALKillRestartCycles|TestWALRecoveryRoundTrip' ./internal/serve
 	$(GO) test -race ./internal/wal
 
-# Serving benchmark: boot dplearn-serve on a free port with tracing and
-# the ε-attributed access log on, drive the deterministic loadgen mix
-# across two tenants (loadgen injects a derived traceparent per request),
-# SIGINT the server (a graceful drain that cross-checks every tenant's
-# ledger), verify the trace/ledger/access-log join with dplearn-trace
-# -check, and leave BENCH_serve.json (QPS, p50/p95/p99 latency with
-# exemplar trace ids, admission-reject rate) plus serve_trace.ndjson and
-# serve_access.ndjson. Override SERVE_REQUESTS / SERVE_SEED for longer
-# campaigns.
+# Serving benchmark: boot dplearn-serve on a free port with tracing, the
+# ε-attributed access log and a write-ahead log in a fresh temporary
+# directory, drive the deterministic loadgen mix across two tenants
+# (loadgen injects a derived traceparent per request), SIGINT the server
+# (a graceful drain that audits every tenant's accountant against its
+# write-ahead log), verify the trace/ledger/access-log join with
+# dplearn-trace -check, and leave BENCH_serve.json (QPS, p50/p95/p99
+# latency with exemplar trace ids, admission-reject rate) plus
+# serve_trace.ndjson and serve_access.ndjson. Override SERVE_REQUESTS /
+# SERVE_SEED for longer campaigns.
 SERVE_REQUESTS ?= 1000
 SERVE_SEED ?= 1
 bench-serve:
@@ -106,17 +107,18 @@ bench-serve:
 	$(GO) build -o bin/dplearn-loadgen ./cmd/dplearn-loadgen
 	$(GO) build -o bin/dplearn-trace ./cmd/dplearn-trace
 	@rm -f serve.addr; \
+	wal_dir=$$(mktemp -d); \
 	./bin/dplearn-serve -addr localhost:0 -addr-file serve.addr \
-	  -tenants "alpha=6,beta=2.5" -degrade refuse -timeout 300s \
+	  -tenants "alpha=6,beta=2.5" -degrade refuse -timeout 300s -wal-dir "$$wal_dir" \
 	  -trace serve_trace.ndjson -access-log serve_access.ndjson & \
 	serve_pid=$$!; \
 	for i in $$(seq 1 100); do [ -s serve.addr ] && break; sleep 0.1; done; \
-	[ -s serve.addr ] || { echo "bench-serve: server never published its address"; kill $$serve_pid; exit 1; }; \
+	[ -s serve.addr ] || { echo "bench-serve: server never published its address"; kill $$serve_pid; rm -rf "$$wal_dir"; exit 1; }; \
 	./bin/dplearn-loadgen -addr "$$(cat serve.addr)" -tenants alpha,beta \
 	  -requests $(SERVE_REQUESTS) -seed $(SERVE_SEED) -concurrency 8 -out BENCH_serve.json; \
 	load_status=$$?; \
 	kill -INT $$serve_pid; wait $$serve_pid; serve_status=$$?; \
-	rm -f serve.addr; \
+	rm -f serve.addr; rm -rf "$$wal_dir"; \
 	./bin/dplearn-trace -check serve_trace.ndjson serve_access.ndjson; check_status=$$?; \
 	exit $$((load_status + serve_status + check_status))
 

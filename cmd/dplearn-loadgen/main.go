@@ -188,9 +188,9 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "dplearn-loadgen: wrote %s\n", *out)
 	if !stats.CrossCheckOK {
-		fatal(fmt.Errorf("tenant ledger cross-check FAILED"))
+		fatal(fmt.Errorf("tenant cross-check FAILED"))
 	}
-	fmt.Fprintln(os.Stderr, "dplearn-loadgen: all tenant ledgers cross-check clean")
+	fmt.Fprintln(os.Stderr, "dplearn-loadgen: /v1/crosscheck passed")
 	if err := rt.Close(os.Stderr); err != nil {
 		fatal(err)
 	}

@@ -12,9 +12,10 @@
 //
 // On SIGINT/SIGTERM or -timeout the server drains gracefully: new /v1
 // requests get 503, in-flight requests finish (commit or release —
-// never half-spend), and every tenant's NDJSON ledger is cross-checked
-// bit-for-bit against its accountant before exit. A failed audit exits
-// non-zero.
+// never half-spend), and each tenant's accountant is audited bit for
+// bit against its write-ahead log before exit; a failed audit exits
+// non-zero. Without -wal-dir the drain line names no in-process
+// witness, and the offline one is dplearn-trace -check over -trace.
 //
 // -addr-file writes the bound address (useful with -addr :0) so
 // scripts can wait for readiness; see `make bench-serve`.
@@ -24,8 +25,8 @@
 // charges, and the response bytes when the request is keyed — before
 // any response byte escapes; a refused, failed or crashed request
 // writes nothing. On boot the WAL is replayed: committed charges are
-// rebuilt bit-for-bit (verified against the canonical composition; a
-// mismatch refuses to serve), and Idempotency-Key outcomes are restored
+// rebuilt bit-for-bit (audited against the log's own books; a mismatch
+// refuses to serve), and Idempotency-Key outcomes are restored
 // so client retries replay the original response instead of buying a
 // second release. A per-tenant recovery report prints at boot.
 //
@@ -210,7 +211,7 @@ func main() {
 	}
 
 	// Drain: refuse new work, let in-flight requests commit or release,
-	// then audit every tenant's books.
+	// then audit every tenant's accountant against its witness.
 	fmt.Fprintln(os.Stderr, "dplearn-serve: draining")
 	s.BeginDrain()
 	gctx, cancel := obsglue.RunContext(*grace)
@@ -225,14 +226,15 @@ func main() {
 	}
 
 	for _, t := range s.Tenants().Tenants() {
+		witness, _, err := t.CrossCheck(true)
+		if err != nil {
+			fatal(err)
+		}
 		spent := t.Acct.BasicComposition()
-		fmt.Fprintf(os.Stderr, "dplearn-serve: tenant %s spent eps=%.4g of %.4g across %d release(s)\n",
-			t.ID, spent.Epsilon, t.Budget().Epsilon, t.Acct.Count())
+		fmt.Fprintf(os.Stderr, "dplearn-serve: tenant %s spent eps=%.4g of %.4g across %d release(s); witness %s\n",
+			t.ID, spent.Epsilon, t.Budget().Epsilon, t.Acct.Count(), witness)
 	}
-	if err := s.Tenants().CrossCheckAll(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintln(os.Stderr, "dplearn-serve: all tenant ledgers cross-check clean")
+	fmt.Fprintln(os.Stderr, "dplearn-serve: drain audit passed")
 
 	if alogFile != nil {
 		if err := alog.Err(); err != nil {

@@ -8,10 +8,11 @@
 //	dplearn-train -csv data.csv -label 3 -eps 1.0 -grid 9 -box 2
 //
 // Observability (all opt-in): -trace out.ndjson writes a structured
-// trace whose ledger lines account every ε-spending release (the summary
-// and a ledger-vs-accountant cross-check print on exit), -metrics-addr
-// serves /metrics (Prometheus text) and /debug/vars, and -pprof adds
-// /debug/pprof on the same endpoint.
+// trace whose ledger lines account every ε-spending release; the
+// summary printed on exit recomposes them, the run's offline witness of
+// what the accountant charged (compare it with the budget line).
+// -metrics-addr serves /metrics (Prometheus text) and /debug/vars, and
+// -pprof adds /debug/pprof on the same endpoint.
 //
 // Robustness: -timeout bounds the run and ^C drains gracefully (claimed
 // work finishes, the ledger flushes, the process exits non-zero).
@@ -158,9 +159,6 @@ func main() {
 		fmt.Printf("privacy certificate (Theorem 4.1): %s at lambda=%.4g\n", c.Privacy, c.Lambda)
 		fmt.Printf("risk certificate (Theorem 3.1): true risk <= %.4f w.p. %.0f%%\n", c.RiskBound, 100*(1-c.Delta))
 		fmt.Printf("posterior stats: E[emp risk]=%.4f, KL=%.4f nats\n", c.ExpEmpRisk, c.KL)
-	}
-	if err := obsglue.CrossCheck(rt.Ledger, &acct); err != nil {
-		fatal(rt, err)
 	}
 	if *budget > 0 {
 		spent := acct.BasicComposition()

@@ -221,14 +221,14 @@ func TestGoldenDeterminismWithTracing(t *testing.T) {
 }
 
 // ledgerRun drives a batch of concurrent spends through a shared
-// accountant observed by a ledger, under the parallel engine with the
-// given worker count, and returns both books and the Seq of every spend
-// in the order the observer saw them.
-func ledgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant, seqs []uint64) {
+// accountant whose observer streams a ledger line per spend into a
+// trace, under the parallel engine with the given worker count, and
+// returns the accountant and the lines read back from the stream.
+func ledgerRun(workers int) (acct *mechanism.Accountant, lines []obs.LedgerRecord) {
 	acct = &mechanism.Accountant{}
-	led = obs.NewLedger(nil)
+	var buf bytes.Buffer
+	led := obs.NewLedger(obs.NewTracer(&buf, &obs.LogicalClock{}))
 	acct.SetObserver(func(r mechanism.SpendRecord) {
-		seqs = append(seqs, r.Seq)
 		led.Record(obs.LedgerRecord{
 			Seq:         r.Seq,
 			Mechanism:   r.Meta.Mechanism,
@@ -251,48 +251,67 @@ func ledgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant, seqs [
 			)
 		}
 	})
-	return led, acct, seqs
+	return acct, readLines(&buf)
+}
+
+// readLines reads a trace stream's ledger lines back.
+func readLines(buf *bytes.Buffer) []obs.LedgerRecord {
+	data, err := obs.ReadTraceNDJSON(buf)
+	if err != nil {
+		panic(err)
+	}
+	return data.Ledger
+}
+
+// composeLines recomposes streamed ledger lines with obs.ComposeBasic.
+func composeLines(lines []obs.LedgerRecord) (epsilon, delta float64) {
+	eps := make([]float64, len(lines))
+	del := make([]float64, len(lines))
+	for i, l := range lines {
+		eps[i], del[i] = l.Epsilon, l.Delta
+	}
+	return obs.ComposeBasic(eps, del)
 }
 
 // TestLedgerMatchesAccountantAcrossWorkers pins satellite invariants of
-// the privacy ledger: for every worker count, the ledger holds exactly
-// Accountant.Count() records, its canonical composed (ε, δ) equals
-// Accountant.BasicComposition bit-for-bit, and the composed value is
-// bit-identical between serial and 8-worker runs even though the spend
-// arrival order differs.
+// the privacy ledger: for every worker count, the stream carries
+// exactly Accountant.Count() lines, their canonical composed (ε, δ)
+// equals Accountant.BasicComposition bit-for-bit, and the composed
+// value is bit-identical between serial and 8-worker runs even though
+// the spend arrival order differs.
 func TestLedgerMatchesAccountantAcrossWorkers(t *testing.T) {
-	_, refAcct, _ := ledgerRun(1)
+	refAcct, _ := ledgerRun(1)
 	refG := refAcct.BasicComposition()
 	for _, workers := range []int{1, 8} {
-		led, acct, seqs := ledgerRun(workers)
-		if led.Len() != acct.Count() {
-			t.Fatalf("workers=%d: ledger has %d records, accountant %d", workers, led.Len(), acct.Count())
+		acct, lines := ledgerRun(workers)
+		if len(lines) != acct.Count() {
+			t.Fatalf("workers=%d: stream has %d lines, accountant %d spends", workers, len(lines), acct.Count())
 		}
-		le, ld := led.Composed()
+		le, ld := composeLines(lines)
 		g := acct.BasicComposition()
 		if !bitsEqual(float64Bits(le, ld), float64Bits(g.Epsilon, g.Delta)) {
-			t.Errorf("workers=%d: ledger composed (%.17g, %.17g) != accountant (%.17g, %.17g)",
+			t.Errorf("workers=%d: stream composed (%.17g, %.17g) != accountant (%.17g, %.17g)",
 				workers, le, ld, g.Epsilon, g.Delta)
 		}
 		if !bitsEqual(float64Bits(g.Epsilon, g.Delta), float64Bits(refG.Epsilon, refG.Delta)) {
 			t.Errorf("workers=%d: composed guarantee bits differ from serial run", workers)
 		}
 		// Seq numbers must be a total order 0..n−1 that the observer,
-		// called under the accountant's lock, sees in sequence.
-		checkSeqs(t, workers, seqs, acct.Count())
+		// called under the accountant's lock, streams in sequence.
+		checkSeqs(t, workers, lines, acct.Count())
 	}
 }
 
-// checkSeqs asserts that the observer saw exactly the sequence numbers
-// 0..count−1, in order.
-func checkSeqs(t *testing.T, workers int, seqs []uint64, count int) {
+// checkSeqs asserts that the stream carries exactly the sequence
+// numbers 0..count−1, in order.
+func checkSeqs(t *testing.T, workers int, lines []obs.LedgerRecord, count int) {
 	t.Helper()
-	if len(seqs) != count {
-		t.Fatalf("workers=%d: observer saw %d spends, accountant %d", workers, len(seqs), count)
+	if len(lines) != count {
+		t.Fatalf("workers=%d: stream carries %d spends, accountant %d", workers, len(lines), count)
 	}
-	for i, seq := range seqs {
-		if seq != uint64(i) {
-			t.Fatalf("workers=%d: spend %d has seq %d", workers, i, seq)
+	for i, l := range lines {
+		if l.Seq != uint64(i) {
+			t.Fatalf("workers=%d: spend %d has seq %d", workers, i, l.Seq)
 		}
 	}
 }
@@ -364,15 +383,16 @@ func TestGoldenDeterminismCheckpointResume(t *testing.T) {
 
 // budgetedLedgerRun drives concurrent two-phase spends against a
 // budget-capped accountant under the parallel engine: each worker
-// reserves, commits what the budget admits, and releases the rest.
-func budgetedLedgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant, seqs []uint64) {
+// reserves, commits what the budget admits, and releases the rest. It
+// returns the accountant and the ledger lines its observer streamed.
+func budgetedLedgerRun(workers int) (acct *mechanism.Accountant, lines []obs.LedgerRecord) {
 	acct = &mechanism.Accountant{}
 	if err := acct.SetBudget(mechanism.Guarantee{Epsilon: 0.05}); err != nil {
 		panic(err)
 	}
-	led = obs.NewLedger(nil)
+	var buf bytes.Buffer
+	led := obs.NewLedger(obs.NewTracer(&buf, &obs.LogicalClock{}))
 	acct.SetObserver(func(r mechanism.SpendRecord) {
-		seqs = append(seqs, r.Seq)
 		led.Record(obs.LedgerRecord{Seq: r.Seq, Mechanism: r.Meta.Mechanism,
 			Epsilon: r.Guarantee.Epsilon, Delta: r.Guarantee.Delta})
 	})
@@ -386,21 +406,22 @@ func budgetedLedgerRun(workers int) (led *obs.Ledger, acct *mechanism.Accountant
 			res.Release() // no-op after Commit (the defer idiom)
 		}
 	})
-	return led, acct, seqs
+	return acct, readLines(&buf)
 }
 
 // TestBudgetedLedgerMatchesAccountant pins the budget-enforcement
 // half of the ledger contract: with a cap that denies most of the
 // concurrent reservations, every committed spend still lands in the
-// ledger, the composed (ε, δ) matches Accountant.BasicComposition
-// bit-for-bit, stays within the budget, and no reservation leaks.
-// Which spends are admitted may differ between worker counts (admission
-// is arrival-order under contention) — the invariants may not.
+// streamed ledger, the lines' composed (ε, δ) matches
+// Accountant.BasicComposition bit-for-bit, stays within the budget, and
+// no reservation leaks. Which spends are admitted may differ between
+// worker counts (admission is arrival-order under contention) — the
+// invariants may not.
 func TestBudgetedLedgerMatchesAccountant(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		led, acct, seqs := budgetedLedgerRun(workers)
-		if led.Len() != acct.Count() {
-			t.Fatalf("workers=%d: ledger has %d records, accountant %d", workers, led.Len(), acct.Count())
+		acct, lines := budgetedLedgerRun(workers)
+		if len(lines) != acct.Count() {
+			t.Fatalf("workers=%d: stream has %d lines, accountant %d spends", workers, len(lines), acct.Count())
 		}
 		if acct.Count() == 0 {
 			t.Fatalf("workers=%d: budget admitted nothing", workers)
@@ -408,16 +429,16 @@ func TestBudgetedLedgerMatchesAccountant(t *testing.T) {
 		if acct.Reserved() != 0 {
 			t.Fatalf("workers=%d: %d reservation(s) leaked", workers, acct.Reserved())
 		}
-		le, ld := led.Composed()
+		le, ld := composeLines(lines)
 		g := acct.BasicComposition()
 		if !bitsEqual(float64Bits(le, ld), float64Bits(g.Epsilon, g.Delta)) {
-			t.Errorf("workers=%d: ledger composed (%.17g, %.17g) != accountant (%.17g, %.17g)",
+			t.Errorf("workers=%d: stream composed (%.17g, %.17g) != accountant (%.17g, %.17g)",
 				workers, le, ld, g.Epsilon, g.Delta)
 		}
 		if g.Epsilon > 0.05 {
 			t.Errorf("workers=%d: composed ε=%.17g exceeds the 0.05 budget", workers, g.Epsilon)
 		}
-		checkSeqs(t, workers, seqs, acct.Count())
+		checkSeqs(t, workers, lines, acct.Count())
 	}
 }
 
@@ -559,7 +580,7 @@ func TestRecoveryDeterminismAcrossWorkers(t *testing.T) {
 			if tn.Acct.Count() == 0 {
 				t.Fatalf("workers=%d: tenant %s recovered nothing", workers, tn.ID)
 			}
-			if err := tn.CrossCheck(); err != nil {
+			if _, _, err := tn.CrossCheck(true); err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
 		}

@@ -82,8 +82,8 @@ func isTwoPhaseHold(t types.Type) bool {
 
 // isReleaseCall reports whether call releases DP-protected output: a
 // Release method on a Guarantee-bearing type, or a posterior Sample /
-// SampleTheta (and the context-aware SampleCtx) on a Guarantee-bearing
-// type (the Gibbs estimator's release operation, Theorem 4.1). A
+// SampleTheta on a Guarantee-bearing type (the Gibbs estimator's
+// release operation, Theorem 4.1). A
 // Reservation's Release is NOT a DP release: reservations bear no
 // Guarantee method, so the receiver test excludes them structurally.
 func isReleaseCall(pkg *Package, call *ast.CallExpr) bool {
@@ -92,7 +92,7 @@ func isReleaseCall(pkg *Package, call *ast.CallExpr) bool {
 		return false
 	}
 	switch sel.Sel.Name {
-	case "Release", "Sample", "SampleTheta", "SampleCtx":
+	case "Release", "Sample", "SampleTheta":
 	default:
 		return false
 	}

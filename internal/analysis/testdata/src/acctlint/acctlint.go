@@ -214,10 +214,6 @@ func CommitInBranch(d *Dataset, acct *Accountant, ok bool, g *RNG) float64 {
 	return v
 }
 
-// SampleCtx is the context-aware posterior draw: still a DP release on
-// a Guarantee-bearing receiver.
-func (m *Mech) SampleCtx(ctx any, d *Dataset, g *RNG) int { return 0 }
-
 // Sample is a fallible posterior draw: a DP release whose error result
 // reports that no output was produced (and no budget consumed).
 func (m *Mech) Sample(d *Dataset, g *RNG) (int, error) { return 0, nil }
@@ -246,23 +242,6 @@ func ErrVoided(d *Dataset, acct *Accountant, g *RNG) (int, error) {
 	}
 	acct.Spend(m.Guarantee())
 	return idx, nil
-}
-
-// CtxLeak draws through the context-aware variant without paying.
-func CtxLeak(d *Dataset, g *RNG) int {
-	m := &Mech{Epsilon: 1}
-	return m.SampleCtx(nil, d, g) // want "un-accounted release"
-}
-
-// CtxTwoPhase draws through SampleCtx under the two-phase protocol:
-// clean.
-func CtxTwoPhase(d *Dataset, acct *Accountant, g *RNG) int {
-	m := &Mech{Epsilon: 1}
-	res := acct.Reserve(m.Guarantee())
-	defer res.Release()
-	i := m.SampleCtx(nil, d, g)
-	res.Commit("gibbs")
-	return i
 }
 
 // Composite is itself a mechanism (it bears Guarantee), so its internal

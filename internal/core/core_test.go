@@ -10,6 +10,8 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/learn"
 	"repro/internal/mathx"
+	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
@@ -168,10 +170,12 @@ func TestAccountInformation(t *testing.T) {
 	// Mean-estimation learner over binary data: leakage must respect
 	// MI ≤ capacity ≤ ε·n.
 	grid := [][]float64{{0}, {0.25}, {0.5}, {0.75}, {1}}
+	reg := obs.NewRegistry()
 	l, err := NewLearner(Config{
-		Loss:    learn.NewClippedLoss(learn.AbsoluteLoss{}, 1),
-		Thetas:  grid,
-		Epsilon: 1.5,
+		Loss:     learn.NewClippedLoss(learn.AbsoluteLoss{}, 1),
+		Thetas:   grid,
+		Epsilon:  1.5,
+		Parallel: parallel.Options{Obs: &obs.Observer{Metrics: reg}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +191,13 @@ func TestAccountInformation(t *testing.T) {
 	acct, err := l.AccountInformation(inputs, logPX)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One risk vector per input serves its channel row and the expected
+	// risk: on a cold cache, one miss each and no hit.
+	hits := reg.Counter("dplearn_risk_cache_hits_total", "").Value()
+	misses := reg.Counter("dplearn_risk_cache_misses_total", "").Value()
+	if hits != 0 || misses != uint64(len(inputs)) {
+		t.Errorf("%d inputs made %d cache misses and %d hits, want %d and 0", len(inputs), misses, hits, len(inputs))
 	}
 	if acct.MutualInformation <= 0 {
 		t.Errorf("MI = %v", acct.MutualInformation)

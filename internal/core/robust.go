@@ -297,8 +297,9 @@ func (l *Learner) CertifyCtx(ctx context.Context, d *dataset.Dataset) (Certifica
 }
 
 // AccountInformationCtx is AccountInformation under a context: the
-// channel enumeration, the Blahut–Arimoto capacity iteration, and the
-// risk grids all honor cancellation.
+// risk grids and the Blahut–Arimoto capacity iteration honor
+// cancellation. Each input's risk vector is evaluated once and serves
+// both its channel row (the Gibbs posterior) and the expected risk.
 func (l *Learner) AccountInformationCtx(ctx context.Context, inputs []*dataset.Dataset, logPX []float64) (*InformationAccount, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("%w: empty sample space", ErrBadConfig)
@@ -313,7 +314,17 @@ func (l *Learner) AccountInformationCtx(ctx context.Context, inputs []*dataset.D
 	if err != nil {
 		return nil, err
 	}
-	ch, err := channel.FromMechanismCtx(ctx, inputs, logPX, est, l.cfg.Parallel)
+	risks := make([][]float64, len(inputs))
+	rows := make(posteriorRows, len(inputs))
+	for i, d := range inputs {
+		if risks[i], err = est.RisksCtx(ctx, d); err == nil {
+			rows[d], err = est.LogPosterior(risks[i])
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	ch, err := channel.FromMechanismCtx(ctx, inputs, logPX, rows, l.cfg.Parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -324,13 +335,6 @@ func (l *Learner) AccountInformationCtx(ctx context.Context, inputs []*dataset.D
 	capacity, err := ch.CapacityCtx(ctx, 1e-9, 50000)
 	if err != nil {
 		return nil, err
-	}
-	risks := make([][]float64, len(inputs))
-	for i, d := range inputs {
-		risks[i], err = est.RisksCtx(ctx, d)
-		if err != nil {
-			return nil, err
-		}
 	}
 	expRisk, err := ch.ExpectedValue(risks)
 	if err != nil {
@@ -343,3 +347,10 @@ func (l *Learner) AccountInformationCtx(ctx context.Context, inputs []*dataset.D
 		ExpectedRisk:      expRisk,
 	}, nil
 }
+
+// posteriorRows serves precomputed posterior rows to the channel's one
+// validating constructor.
+type posteriorRows map[*dataset.Dataset][]float64
+
+// LogProbabilities returns d's precomputed log posterior.
+func (p posteriorRows) LogProbabilities(d *dataset.Dataset) []float64 { return p[d] }

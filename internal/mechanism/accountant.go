@@ -160,17 +160,16 @@ func (a *Accountant) Count() int {
 	return a.spent
 }
 
-// Audit runs check on the spend count and basic composition under the
-// accountant's lock, so no spend commits while check also reads what
-// the observer wrote. check must not call back into the accountant; on
-// a nil accountant it sees the empty books.
-func (a *Accountant) Audit(check func(count int, basic Guarantee) error) error {
+// Audit returns the spend count and basic composition read under one
+// lock, so both describe the same spends; an audit reads its witness
+// first and the accountant second. A nil accountant has empty books.
+func (a *Accountant) Audit() (count int, basic Guarantee) {
 	if a == nil {
-		return check(0, Guarantee{})
+		return 0, Guarantee{}
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return check(a.spent, Guarantee{Epsilon: a.spentEps.Float64(), Delta: a.spentDel.Float64()})
+	return a.spent, Guarantee{Epsilon: a.spentEps.Float64(), Delta: a.spentDel.Float64()}
 }
 
 // BasicComposition returns the sequential-composition guarantee:
@@ -182,16 +181,13 @@ func (a *Accountant) Audit(check func(count int, basic Guarantee) error) error {
 // sum would let workers interleaving their spends differently across
 // runs (or across Workers settings of the parallel engine) change the
 // composed ε's low bits, and the runtime privacy ledger could never be
-// golden-tested. The obs ledger's ComposeBasic rounds the same exact
-// sum, so ledger and accountant agree bit-for-bit. The sums are kept
-// as spends arrive, so the call costs the same at any history length.
+// golden-tested. obs.ComposeBasic and the write-ahead log's books round
+// the same exact sum, so each agrees with the accountant bit for bit.
+// The sums are kept as spends arrive, so the call costs the same at any
+// history length.
 func (a *Accountant) BasicComposition() Guarantee {
-	if a == nil {
-		return Guarantee{}
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return Guarantee{Epsilon: a.spentEps.Float64(), Delta: a.spentDel.Float64()}
+	_, g := a.Audit()
+	return g
 }
 
 // AdvancedComposition returns the Dwork–Rothblum–Vadhan advanced

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sync"
-
-	"repro/internal/mathx"
-)
+import "repro/internal/mathx"
 
 // LedgerRecord is one line of the privacy ledger: the runtime account of
 // a single differentially-private release. It carries the fields of a
@@ -32,8 +28,7 @@ type LedgerRecord struct {
 	Span uint64 `json:"span,omitempty"`
 	// Trace is the 32-hex-digit W3C trace id of the request that caused
 	// the release, if the release ran under a request span. omitempty
-	// keeps pre-tracing ledger NDJSON byte-identical on round-trip and
-	// the ComposeBasic cross-check untouched.
+	// keeps pre-tracing ledger NDJSON byte-identical on round-trip.
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -43,62 +38,26 @@ type ledgerLine struct {
 	LedgerRecord
 }
 
-// Ledger keeps the books of one run's privacy ledger — the release count
-// and the exact sums of their ε and δ, no per-release history — and,
-// when a Tracer is attached, streams every record as a "ledger" NDJSON
-// line interleaved with spans. It is safe for concurrent use; a nil
-// *Ledger is a valid no-op sink.
+// Ledger streams a run's privacy ledger: with a Tracer attached, each
+// record becomes a "ledger" NDJSON line interleaved with spans. It
+// keeps no books; recomposed with ComposeBasic, the lines read back are
+// the accountant's offline witness. It is safe for concurrent use; a
+// nil *Ledger is a valid no-op sink.
 type Ledger struct {
-	mu       sync.Mutex
-	n        int
-	eps, del mathx.ExactSum
-	tracer   *Tracer
+	tracer *Tracer
 }
 
-// NewLedger returns an empty ledger. tracer may be nil; when set, each
-// Record is written to the trace as an NDJSON "ledger" line.
+// NewLedger returns a ledger streaming to tracer (nil streams nowhere).
 func NewLedger(tracer *Tracer) *Ledger {
 	return &Ledger{tracer: tracer}
 }
 
-// Record counts one release into the books and streams its line to the
-// tracer, if any (nil-safe).
+// Record streams one release's line to the tracer, if any (nil-safe).
 func (l *Ledger) Record(r LedgerRecord) {
-	if l == nil {
+	if l == nil || l.tracer == nil {
 		return
 	}
-	l.mu.Lock()
-	l.n++
-	l.eps.Add(r.Epsilon)
-	l.del.Add(r.Delta)
-	l.mu.Unlock()
-	if l.tracer != nil {
-		l.tracer.emit(ledgerLine{Type: "ledger", LedgerRecord: r})
-	}
-}
-
-// Len returns the number of recorded releases (nil-safe).
-func (l *Ledger) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
-// Composed returns the basic sequential composition (Σεᵢ, Σδᵢ) of the
-// ledger, each component summed exactly and rounded once by
-// mathx.ExactSum — the accumulator mechanism.Accountant keeps — so the
-// two agree bit-for-bit on the same multiset of guarantees, for every
-// arrival order and worker count.
-func (l *Ledger) Composed() (epsilon, delta float64) {
-	if l == nil {
-		return 0, 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.eps.Float64(), l.del.Float64()
+	l.tracer.emit(ledgerLine{Type: "ledger", LedgerRecord: r})
 }
 
 // ComposeBasic is the basic-composition sum (Σεᵢ, Σδᵢ) of a list of

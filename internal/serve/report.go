@@ -57,7 +57,7 @@ type LoadStats struct {
 	ByTenant []TenantLoadStats `json:"by_tenant,omitempty"`
 	// ByEndpoint breaks the mix down per endpoint, sorted by name.
 	ByEndpoint []EndpointLoadStats `json:"by_endpoint,omitempty"`
-	// CrossCheckOK reports that every tenant's ledger audit passed at the
+	// CrossCheckOK reports that /v1/crosscheck passed for every tenant at the
 	// end of the run.
 	CrossCheckOK bool `json:"crosscheck_ok"`
 }

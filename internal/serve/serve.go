@@ -136,8 +136,8 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, spec: spec, reg: reg, obs: cfg.Observer, startWall: time.Now()}
 	if cfg.WALDir != "" {
 		// Recovery before traffic: replay each tenant's surviving WAL,
-		// rebuild its accountant bit-identically (verified against
-		// ComposeBasic), restore idempotency outcomes. A tenant whose
+		// rebuild its accountant bit-identically (audited against the
+		// log's books), restore idempotency outcomes. A tenant whose
 		// books cannot be audited fails the boot.
 		for _, t := range reg.Tenants() {
 			rep, err := s.attachWAL(t, cfg.WALDir)
@@ -736,18 +736,24 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
-// handleCrossCheck audits every tenant's ledger against its accountant
-// and refreshes the spend gauges; a mismatch is a 500 — the books are
-// the service's contract.
+// handleCrossCheck audits every tenant's accountant against its
+// witness under live traffic, reporting the witness and the charges in
+// flight per tenant, and refreshes the spend gauges; a failed audit is
+// a 500 — the books are the service's contract.
 func (s *Server) handleCrossCheck(w http.ResponseWriter, r *http.Request) {
 	for _, t := range s.reg.Tenants() {
 		t.refreshSpent()
 	}
-	if err := s.reg.CrossCheckAll(); err != nil {
-		s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
-		return
+	var audits []map[string]any
+	for _, t := range s.reg.Tenants() {
+		witness, n, err := t.CrossCheck(false)
+		if err != nil {
+			s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+			return
+		}
+		audits = append(audits, map[string]any{"tenant": t.ID, "witness": witness, "in_flight": n})
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "tenants": len(s.reg.Tenants())})
+	s.writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "tenants": audits})
 }
 
 // handleHealthz reports liveness; a draining server answers 503 so load

@@ -74,17 +74,43 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, out
 }
 
-// checkBooks audits one tenant end to end: the ledger-vs-accountant
-// cross-check (release counts equal, compositions bit-identical) and no
-// leaked reservations.
+// checkBooks audits one quiescent tenant end to end: with a WAL, the
+// accountant against the log's books (counts equal, compositions
+// bit-identical, nothing in flight); always, no leaked reservations.
 func checkBooks(t *testing.T, tn *Tenant) {
 	t.Helper()
-	if err := tn.CrossCheck(); err != nil {
+	if _, _, err := tn.CrossCheck(true); err != nil {
 		t.Errorf("cross-check: %v", err)
 	}
 	if r := tn.Acct.Reserved(); r != 0 {
 		t.Errorf("tenant %s leaked %d reservation(s)", tn.ID, r)
 	}
+}
+
+// tenantAudit is one tenant's line of the /v1/crosscheck answer.
+type tenantAudit struct {
+	Tenant   string `json:"tenant"`
+	Witness  string `json:"witness"`
+	InFlight int    `json:"in_flight"`
+}
+
+// getCrossCheck fetches /v1/crosscheck, which must answer 200, and
+// returns its per-tenant audits.
+func getCrossCheck(t *testing.T, base string) []tenantAudit {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/crosscheck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Status  string        `json:"status"`
+		Tenants []tenantAudit `json:"tenants"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK || out.Status != "ok" {
+		t.Fatalf("crosscheck: HTTP %d, %+v, %v", resp.StatusCode, out, err)
+	}
+	return out.Tenants
 }
 
 // TestTenantIsolation interleaves two tenants with very different
@@ -158,8 +184,9 @@ func TestRetryAfterCapsHugeQuote(t *testing.T) {
 	}
 }
 
-// TestTenantIsolationBooks re-runs a short interleaved load and audits
-// both tenants' NDJSON ledgers bit-for-bit against their accountants.
+// TestTenantIsolationBooks re-runs a short interleaved load against
+// per-tenant write-ahead logs and audits both tenants' accountants
+// bit-for-bit against their own logs.
 func TestTenantIsolationBooks(t *testing.T) {
 	s, ts := newTestService(t, Config{
 		Tenants: []TenantConfig{
@@ -167,7 +194,9 @@ func TestTenantIsolationBooks(t *testing.T) {
 			{ID: "beta", Budget: mechanism.Guarantee{Epsilon: 50}},
 		},
 		Learner: LearnerSpec{Epsilon: 0.4},
+		WALDir:  t.TempDir(),
 	})
+	defer s.CloseWALs()
 	data := testData(12, 24, 2)
 	for i := 0; i < 6; i++ {
 		for _, tenant := range []string{"alpha", "beta"} {
@@ -366,13 +395,10 @@ func TestBudgetEndpoints(t *testing.T) {
 	if len(all) != 2 || all[0].Tenant != "a" || all[1].Tenant != "b" {
 		t.Errorf("tenants listing: %+v", all)
 	}
-	resp, err = http.Get(ts.URL + "/v1/crosscheck")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("crosscheck: HTTP %d", resp.StatusCode)
+	// Without a WAL there is no in-process witness, and the audit says so.
+	if audits := getCrossCheck(t, ts.URL); len(audits) != 2 || audits[0] != (tenantAudit{Tenant: "a", Witness: "none"}) ||
+		audits[1] != (tenantAudit{Tenant: "b", Witness: "none"}) {
+		t.Errorf("crosscheck: %+v, want both tenants without a witness", audits)
 	}
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -30,7 +30,7 @@ type TenantConfig struct {
 }
 
 // Tenant is one live tenant: a dedicated Accountant enforcing the hard
-// budget, the privacy ledger booking every spend, and a
+// budget, the privacy ledger streaming every spend to the trace, and a
 // Learner configured against the accountant. All fields are safe for
 // concurrent use; isolation between tenants is structural — no shared
 // accountant, ledger, fallback cache, or write-ahead log.
@@ -38,7 +38,6 @@ type Tenant struct {
 	ID      string
 	Degrade core.DegradePolicy
 	Acct    *mechanism.Accountant
-	Ledger  *obs.Ledger
 	Learner *core.Learner
 
 	observer *obs.Observer
@@ -62,14 +61,39 @@ func (t *Tenant) Budget() mechanism.Guarantee {
 	return g
 }
 
-// CrossCheck verifies the tenant's ledger against its accountant with
-// obsglue.CrossCheck. A mismatch means a release escaped the books — the
-// service must never pass its audit with one.
-func (t *Tenant) CrossCheck() error {
-	if err := obsglue.CrossCheck(t.Ledger, t.Acct); err != nil {
-		return fmt.Errorf("serve: tenant %s: %w", t.ID, err)
+// CrossCheck holds the tenant's accountant to its write-ahead log and
+// names the witness it used: "wal", or "none" without a log (the
+// offline witness is then dplearn-trace -check). The log's books are
+// read first and the accountant's second: a charge lands on the
+// accountant before its commit record lands on the log, so the log
+// never leads. More charges on the log, or as many with other sum bits,
+// fail. Fewer are charges in flight — an error on a poisoned log, which
+// can never write them, and for a quiescent caller.
+func (t *Tenant) CrossCheck(quiescent bool) (witness string, inFlight int, err error) {
+	if t.wal == nil {
+		return "none", 0, nil
 	}
-	return nil
+	logged, onLog, logErr := t.wal.Committed()
+	count, spent := t.Acct.Audit()
+	inFlight = count - logged
+	switch {
+	case inFlight < 0:
+		err = fmt.Errorf("the write-ahead log holds %d charge(s), the accountant %d", logged, count)
+	//dplint:ignore floateq bit-exact agreement between the accountant and its write-ahead log is the audited property
+	case inFlight == 0 && (spent.Epsilon != onLog.Epsilon || spent.Delta != onLog.Delta):
+		err = fmt.Errorf("the write-ahead log composes %d charge(s) to (%.17g, %.17g), the accountant to (%.17g, %.17g)",
+			count, onLog.Epsilon, onLog.Delta, spent.Epsilon, spent.Delta)
+	case inFlight > 0 && (quiescent || logErr != nil):
+		err = fmt.Errorf("%d charge(s) (ε %.17g, δ %.17g) on the accountant are missing from the write-ahead log",
+			inFlight, spent.Epsilon-onLog.Epsilon, spent.Delta-onLog.Delta)
+		if logErr != nil {
+			err = fmt.Errorf("%w, which failed: %w", err, logErr)
+		}
+	}
+	if err != nil {
+		err = fmt.Errorf("serve: tenant %s: %w", t.ID, err)
+	}
+	return "wal", inFlight, err
 }
 
 // refreshSpent sets the tenant's spend gauge to the accountant's
@@ -130,21 +154,6 @@ func (r *Registry) add(t *Tenant) error {
 	}
 	r.byID[t.ID] = t
 	r.order = append(r.order, t.ID)
-	return nil
-}
-
-// CrossCheckAll audits every tenant's books, joining all failures in
-// declaration order.
-func (r *Registry) CrossCheckAll() error {
-	var errs []string
-	for _, t := range r.Tenants() {
-		if err := t.CrossCheck(); err != nil {
-			errs = append(errs, err.Error())
-		}
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("serve: cross-check failed: %s", strings.Join(errs, "; "))
-	}
 	return nil
 }
 
@@ -218,8 +227,8 @@ func (sp LearnerSpec) withDefaults() LearnerSpec {
 }
 
 // newTenant builds one live tenant: accountant with the hard budget,
-// ledger wired as the spend observer (and, when the observer carries a
-// tracer, into the trace stream), learner calibrated to the spec.
+// ledger wired as the spend observer (streaming into the trace when the
+// observer carries a tracer), learner calibrated to the spec.
 func newTenant(cfg TenantConfig, sp LearnerSpec, o *obs.Observer, workers int) (*Tenant, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("serve: tenant needs an ID")
@@ -232,7 +241,6 @@ func newTenant(cfg TenantConfig, sp LearnerSpec, o *obs.Observer, workers int) (
 		ID:       cfg.ID,
 		Degrade:  cfg.Degrade,
 		Acct:     &mechanism.Accountant{},
-		Ledger:   obs.NewLedger(tracer),
 		observer: o,
 		idem:     newIdemStore(),
 	}
@@ -249,9 +257,9 @@ func newTenant(cfg TenantConfig, sp LearnerSpec, o *obs.Observer, workers int) (
 	t.budget.Set(cfg.Budget.Epsilon)
 	t.releases = reg.Counter("dplearn_serve_tenant_releases_total",
 		"accounted releases committed by the tenant", "tenant", cfg.ID)
-	ledger, releases := t.Ledger, t.releases
+	ledger, releases := obs.NewLedger(tracer), t.releases
 	t.Acct.SetObserver(func(r mechanism.SpendRecord) {
-		// Runs under the accountant's lock: record and count — nothing
+		// Runs under the accountant's lock: stream and count — nothing
 		// more. The trace id stamped on the spend joins the ledger line
 		// to the request span tree; the request's own record of what it
 		// spent is its charge scope, which the accountant fills itself.

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/mechanism"
-	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -97,8 +96,8 @@ type RecoveryReport struct {
 	// RestoredKeys is the number of idempotency outcomes restored.
 	RestoredKeys int `json:"restored_keys"`
 	// Epsilon and Delta are the recovered canonical composition —
-	// verified bit-for-bit against obs.ComposeBasic of the WAL's commit
-	// charges before the server accepts traffic.
+	// audited bit for bit against the log's books, which Open seeds
+	// from the same commit records, before the server accepts traffic.
 	Epsilon float64 `json:"epsilon"`
 	Delta   float64 `json:"delta"`
 }
@@ -106,12 +105,13 @@ type RecoveryReport struct {
 // attachWAL opens (or creates) the tenant's write-ahead ledger under
 // dir, replays it to rebuild the accountant, and wires the log into the
 // tenant. Replay drives every recovered charge through SpendDetail — the
-// same observer path live commits take — so the privacy ledger books
-// the recovered spends and CrossCheck holds from the first request. The
-// rebuilt composition is verified bit-for-bit against obs.ComposeBasic
-// of the commit records' charges; a mismatch fails the boot, because
-// books that cannot be audited must not serve. Past Open's tail repair
-// recovery writes nothing, so a second replay reaches the same state.
+// same observer path live commits take — so the trace's ledger lines
+// carry the recovered spends too. The rebuilt accountant must then pass
+// the quiescent audit against the log's books (Tenant.CrossCheck): the
+// same charges, counted by Open as it read them, bit for bit; a
+// mismatch fails the boot, because books that cannot be audited must
+// not serve. Past Open's tail repair recovery writes nothing, so a
+// second replay reaches the same state.
 func (s *Server) attachWAL(t *Tenant, dir string) (RecoveryReport, error) {
 	rep := RecoveryReport{Tenant: t.ID}
 	l, recs, err := wal.Open(filepath.Join(dir, t.ID+".wal"))
@@ -119,7 +119,6 @@ func (s *Server) attachWAL(t *Tenant, dir string) (RecoveryReport, error) {
 		return rep, fmt.Errorf("serve: tenant %s: %w", t.ID, err)
 	}
 	st := wal.Replay(recs)
-	var eps, del []float64
 	for _, rec := range st.Commits {
 		for _, ch := range rec.Charges {
 			t.Acct.SpendDetail(mechanism.Guarantee{Epsilon: ch.Epsilon, Delta: ch.Delta}, mechanism.SpendMeta{
@@ -127,21 +126,17 @@ func (s *Server) attachWAL(t *Tenant, dir string) (RecoveryReport, error) {
 				Sensitivity: ch.Sensitivity,
 				Outcomes:    ch.Outcomes,
 			})
-			eps = append(eps, ch.Epsilon)
-			del = append(del, ch.Delta)
 		}
 	}
-	g := t.Acct.BasicComposition()
-	ce, cd := obs.ComposeBasic(eps, del)
-	//dplint:ignore floateq bit-exact recovery-vs-ledger agreement is the audited property
-	if g.Epsilon != ce || g.Delta != cd {
+	t.wal = l
+	if _, _, err := t.CrossCheck(true); err != nil {
 		_ = l.Close()
-		return rep, fmt.Errorf("serve: tenant %s: recovered accountant composes to (%.17g, %.17g), WAL commits to (%.17g, %.17g)",
-			t.ID, g.Epsilon, g.Delta, ce, cd)
+		return rep, err
 	}
 	t.idem.restore(st.Outcomes)
+	g := t.Acct.BasicComposition()
 	rep.Commits = len(st.Commits)
-	rep.Charges = len(eps)
+	rep.Charges = t.Acct.Count()
 	rep.RestoredKeys = len(st.Outcomes)
 	rep.Epsilon = g.Epsilon
 	rep.Delta = g.Delta
@@ -163,7 +158,6 @@ func (s *Server) attachWAL(t *Tenant, dir string) (RecoveryReport, error) {
 		"commit records replayed at the last recovery", "tenant", t.ID).Set(float64(rep.Commits))
 	mreg.Gauge("dplearn_wal_recovered_epsilon",
 		"canonically composed ε rebuilt from the WAL at the last recovery", "tenant", t.ID).Set(rep.Epsilon)
-	t.wal = l
 	return rep, nil
 }
 

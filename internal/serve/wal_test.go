@@ -3,12 +3,19 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/mechanism"
@@ -159,6 +166,18 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 		t.Fatalf("replay charged ε: %.17g -> %.17g", after.Epsilon, post.Epsilon)
 	}
 	checkBooks(t, tn)
+
+	// A charge committed straight on the accountant, outside the durable
+	// envelope, fails the quiescent audit as the difference between the
+	// books: one charge, and the accountant's composition less the log's
+	// (0.25 up to the rounding of the two sums).
+	onLog := tn.Acct.BasicComposition()
+	tn.Acct.Spend(mechanism.Guarantee{Epsilon: 0.25})
+	diff := tn.Acct.BasicComposition().Epsilon - onLog.Epsilon
+	want := fmt.Sprintf("1 charge(s) (ε %.17g, δ 0) on the accountant are missing from the write-ahead log", diff)
+	if _, _, err := tn.CrossCheck(true); err == nil || !strings.Contains(err.Error(), want) || math.Abs(diff-0.25) > 1e-15 {
+		t.Fatalf("audit after a charge outside the envelope: %v; want %q", err, want)
+	}
 	ts2.Close()
 	s2.CloseWALs()
 
@@ -220,6 +239,20 @@ func TestWALCrashChaosEveryBoundary(t *testing.T) {
 				resp, body := postKeyed(t, ts1.URL+ep.path, ep.req(seed), key)
 				if resp.StatusCode != http.StatusInternalServerError {
 					t.Fatalf("crashed request: HTTP %d: %s", resp.StatusCode, body)
+				}
+				// The crashed server's own audit, before it is abandoned:
+				// its frozen log can never take another record, so a
+				// charge it holds only in memory is missing for good.
+				crashedTn := getAlpha(t, s1)
+				_, _, err := crashedTn.CrossCheck(true)
+				if class == faults.WALCrashPreCommit {
+					want := fmt.Sprintf("1 charge(s) (ε %.17g, δ 0) on the accountant are missing from the write-ahead log",
+						crashedTn.Acct.BasicComposition().Epsilon)
+					if err == nil || !strings.Contains(err.Error(), want) || !errors.Is(err, wal.ErrFrozen) {
+						t.Fatalf("audit of a pre-commit crash: %v; want %q on the frozen log", err, want)
+					}
+				} else if err != nil {
+					t.Fatalf("audit of a %s crash: %v", class, err)
 				}
 				ts1.Close()
 				_ = s1 // abandoned without drain or CloseWALs: that is the crash
@@ -480,6 +513,79 @@ func TestWALKillRestartCycles(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dst, "recovery_report.json"), rep, 0o644); err != nil {
 			t.Fatalf("artifacts: %v", err)
 		}
+	}
+}
+
+// TestWALAuditUnderLiveTraffic audits a WAL tenant 2000 times while
+// spending requests commit: a charge lands on the accountant before its
+// commit record lands on the log, so the log never leads and a
+// mid-request audit sees at most charges in flight, never a mismatch.
+// Once the load stops nothing is in flight, and /v1/crosscheck reports
+// the tenant's witness.
+func TestWALAuditUnderLiveTraffic(t *testing.T) {
+	s, ts := newTestService(t, Config{Tenants: walTenant(1e6), WALDir: t.TempDir()})
+	defer s.CloseWALs()
+	tn := getAlpha(t, s)
+	data := testData(23, 24, 2)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				b, err := json.Marshal(SummaryRequest{Tenant: "alpha", Seed: int64(1000*w + i), Feature: 0, Lo: -1, Hi: 1,
+					Quantiles: []float64{0.5}, Epsilon: 0.01, Data: data})
+				if err == nil {
+					var resp *http.Response
+					if resp, err = http.Post(ts.URL+"/v1/summary", "application/json", bytes.NewReader(b)); err == nil {
+						resp.Body.Close()
+						if resp.StatusCode != http.StatusOK {
+							err = fmt.Errorf("summary: HTTP %d", resp.StatusCode)
+						}
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	for tn.Acct.Count() == 0 {
+		runtime.Gosched()
+	}
+	failed, inFlight := 0, 0
+	var first error
+	for i := 0; i < 2000; i++ {
+		_, n, err := tn.CrossCheck(false)
+		if err != nil {
+			if failed == 0 {
+				first = err
+			}
+			failed++
+		}
+		if n > 0 {
+			inFlight++
+		}
+		if i%20 == 19 {
+			time.Sleep(time.Millisecond) // spread the audits over many commits
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if failed > 0 {
+		t.Fatalf("%d of 2000 audits failed under live traffic, first: %v", failed, first)
+	}
+	t.Logf("%d of 2000 audits saw charges in flight; %d charges committed", inFlight, tn.Acct.Count())
+	checkBooks(t, tn)
+	if audits := getCrossCheck(t, ts.URL); len(audits) != 1 || audits[0] != (tenantAudit{Tenant: "alpha", Witness: "wal"}) {
+		t.Fatalf("crosscheck after the load: %+v, want alpha on the wal witness with nothing in flight", audits)
 	}
 }
 

@@ -17,8 +17,8 @@
 // Recovery (Replay) charges every commit. Replaying the commit charges
 // through SpendDetail rebuilds an Accountant bit-identically: both
 // sides round the exact sum of the same guarantee multiset with one
-// routine (mathx.ExactSum), so the recovered composition equals
-// obs.ComposeBasic of the WAL's commit records bit for bit.
+// routine (mathx.ExactSum). The log keeps the same books of its own
+// commits (Committed), the accountant's independent witness.
 //
 // Commit records double as the durable idempotency store: a commit
 // whose request carried a client Idempotency-Key also stores the
@@ -46,6 +46,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/checkpoint"
+	"repro/internal/mathx"
 	"repro/internal/mechanism"
 )
 
@@ -138,6 +139,10 @@ type Log struct {
 	// is set under mu but read without it, so Begin never waits for the
 	// fsync an Append holds mu across.
 	err atomic.Pointer[error]
+	// The books: the charges on the commit records read at Open or
+	// appended since, and their exact ε and δ sums.
+	charges  int
+	eps, del mathx.ExactSum
 
 	// onAppend and onSync feed observability (fsync and append counters)
 	// without the wal package importing the metrics registry.
@@ -146,10 +151,10 @@ type Log struct {
 }
 
 // Open opens (creating if needed) the WAL at path and returns the
-// surviving records in LSN order. Torn or corrupt trailing lines — the
-// signature of a killed writer — are skipped, the final torn line is
-// terminated, and the offset is left at EOF so appends follow the
-// survivors (checkpoint.ScanRepair).
+// surviving records in LSN order, booking their charges. Torn or
+// corrupt trailing lines — the signature of a killed writer — are
+// skipped, the final torn line is terminated, and the offset is left at
+// EOF so appends follow the survivors (checkpoint.ScanRepair).
 func Open(path string) (*Log, []Record, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -166,6 +171,7 @@ func Open(path string) (*Log, []Record, error) {
 			return // structurally valid JSON that is not a WAL record
 		}
 		recs = append(recs, rec)
+		l.book(rec)
 		if rec.LSN > l.lsn {
 			l.lsn = rec.LSN
 		}
@@ -217,11 +223,37 @@ func (l *Log) sticky() error {
 	return nil
 }
 
+// book adds a commit record's charges to the books. The caller holds
+// mu, or owns the log as Open does.
+func (l *Log) book(rec Record) {
+	if rec.Op != OpCommit {
+		return
+	}
+	for _, c := range rec.Charges {
+		l.charges++
+		l.eps.Add(c.Epsilon)
+		l.del.Add(c.Delta)
+	}
+}
+
+// Committed returns the log's books: the number of durable charges,
+// their composition rounded once as the accountant rounds its own, and
+// the sticky error after which the books never grow. A nil log has
+// empty books.
+func (l *Log) Committed() (charges int, basic mechanism.Guarantee, err error) {
+	if l == nil {
+		return 0, mechanism.Guarantee{}, nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.charges, mechanism.Guarantee{Epsilon: l.eps.Float64(), Delta: l.del.Float64()}, l.sticky()
+}
+
 // Append assigns the next LSN, writes the record as one NDJSON line in
 // a single Write call, and fsyncs before returning — the record is
-// durable when Append returns nil. Returns the assigned LSN. A failed
-// write or fsync poisons the log: this and every later Append returns
-// the same error.
+// durable, and a commit's charges booked, when Append returns nil.
+// Returns the assigned LSN. A failed write or fsync poisons the log:
+// this and every later Append returns the same error.
 func (l *Log) Append(rec Record) (uint64, error) {
 	if l == nil {
 		return 0, nil
@@ -250,6 +282,7 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	if err != nil {
 		return 0, l.poison(fmt.Errorf("%w: fsync: %w", ErrAppend, err))
 	}
+	l.book(rec)
 	return rec.LSN, nil
 }
 
@@ -389,8 +422,7 @@ type State struct {
 }
 
 // Charges returns every committed guarantee in LSN order — the multiset
-// whose composition (obs.ComposeBasic) the recovered accountant must
-// reproduce bit for bit.
+// the recovered accountant composes and the log's books count.
 func (st *State) Charges() []Charge {
 	var out []Charge
 	for _, c := range st.Commits {

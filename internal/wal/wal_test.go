@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/mechanism"
+	"repro/internal/obs"
 )
 
 func openT(t *testing.T, path string) (*Log, []Record) {
@@ -21,6 +23,23 @@ func openT(t *testing.T, path string) (*Log, []Record) {
 	}
 	t.Cleanup(func() { l.Close() })
 	return l, recs
+}
+
+// checkBooks asserts that the log's books hold exactly charges: their
+// count, and the bits of their obs.ComposeBasic composition.
+func checkBooks(t *testing.T, l *Log, charges []Charge) {
+	t.Helper()
+	eps := make([]float64, len(charges))
+	del := make([]float64, len(charges))
+	for i, c := range charges {
+		eps[i], del[i] = c.Epsilon, c.Delta
+	}
+	we, wd := obs.ComposeBasic(eps, del)
+	n, g, _ := l.Committed()
+	if n != len(charges) || math.Float64bits(g.Epsilon) != math.Float64bits(we) || math.Float64bits(g.Delta) != math.Float64bits(wd) {
+		t.Fatalf("books hold %d charge(s) composing to (%.17g, %.17g), want %d composing to (%.17g, %.17g)",
+			n, g.Epsilon, g.Delta, len(charges), we, wd)
+	}
 }
 
 // commitT runs one request's transaction to a durable commit charging
@@ -179,6 +198,10 @@ func TestReplaySettlement(t *testing.T) {
 	if len(ch) != len(want) || ch[0] != want[0] || ch[1] != want[1] {
 		t.Fatalf("charges=%+v, want %+v", ch, want)
 	}
+	// The books Open seeds count each surviving commit once: not the
+	// reserves its Ref names, nor the void, the chargeless 429 or the
+	// torn commit.
+	checkBooks(t, l, ch)
 	if len(st.Outcomes) != 1 {
 		t.Fatalf("outcomes=%+v, want only key a", st.Outcomes)
 	}
@@ -193,12 +216,14 @@ func TestReplaySettlement(t *testing.T) {
 	if err := commitT(l, Intent{Endpoint: "fit", Seed: 5, Epsilon: 0.5}); err != nil {
 		t.Fatal(err)
 	}
+	checkBooks(t, l, append(ch, Charge{Epsilon: 0.1}, Charge{Epsilon: 0.5}))
 	l.Close()
-	_, recs = openT(t, path)
+	l, recs = openT(t, path)
 	st = Replay(recs)
 	if got := len(st.Charges()); len(st.Commits) != 5 || got != 4 {
 		t.Fatalf("after upgrade: %d commits carrying %d charges, want 5 and 4", len(st.Commits), got)
 	}
+	checkBooks(t, l, st.Charges())
 	if len(st.Outcomes) != 2 {
 		t.Fatalf("after upgrade: outcomes=%+v, want keys a and e", st.Outcomes)
 	}
@@ -368,10 +393,14 @@ func FuzzWALRepair(f *testing.F) {
 		if len(st.Commits) > len(recs) || len(st.Outcomes) > len(st.Commits) {
 			t.Fatalf("replay invented records: %d commits and %d outcomes from %d records", len(st.Commits), len(st.Outcomes), len(recs))
 		}
+		// Open seeds the books with exactly the charges Replay charges,
+		// and the post-repair commit moves them by exactly its own.
+		checkBooks(t, l, st.Charges())
 		lsn, err := l.Append(Record{Op: OpCommit, Endpoint: "fit", Epsilon: 0.25, Status: 200, Charges: []Charge{{Epsilon: 0.25}}})
 		if err != nil {
 			t.Fatalf("append after repair: %v", err)
 		}
+		checkBooks(t, l, append(st.Charges(), Charge{Epsilon: 0.25}))
 		l.Close()
 		_, recs2, err := Open(path)
 		if err != nil {
@@ -487,11 +516,18 @@ func TestPoisonOnFailedSync(t *testing.T) {
 	if syncErrs != 1 {
 		t.Fatalf("sync hook saw %d failure(s), want 1", syncErrs)
 	}
+	// Only commit A was durable when its Append returned: the books
+	// hold it alone, and report the failure that stopped them.
+	checkBooks(t, l, []Charge{{Epsilon: 0.5}})
+	if _, _, err := l.Committed(); !errors.Is(err, ErrAppend) {
+		t.Fatalf("books of a poisoned log report %v, want ErrAppend", err)
+	}
 	l.Close()
-	_, recs := openT(t, path)
+	l, recs := openT(t, path)
 	if len(recs) != 2 || recs[0].Seed != 1 || recs[1].Seed != 2 {
 		t.Fatalf("reopen recovered %+v, want commits A and B and nothing after", recs)
 	}
+	checkBooks(t, l, []Charge{{Epsilon: 0.5}, {Epsilon: 0.5}})
 }
 
 // TestBeginDoesNotWaitForFsync: Append holds the log's lock across its
