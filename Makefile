@@ -90,19 +90,26 @@ chaos-restart:
 	$(GO) test -race -run 'TestWALCrashChaosEveryBoundary|TestWALKillRestartCycles|TestWALRecoveryRoundTrip' ./internal/serve
 	$(GO) test -race ./internal/wal
 
-# Serving benchmark: boot dplearn-serve on a free port with tracing, the
-# ε-attributed access log and a write-ahead log in a fresh temporary
-# directory, drive the deterministic loadgen mix across two tenants
-# (loadgen injects a derived traceparent per request), SIGINT the server
-# (a graceful drain that audits every tenant's accountant against its
-# write-ahead log), verify the trace/ledger/access-log join with
-# dplearn-trace -check, and leave BENCH_serve.json (QPS, p50/p95/p99
-# latency with exemplar trace ids, admission-reject rate) plus
-# serve_trace.ndjson and serve_access.ndjson. Override SERVE_REQUESTS /
-# SERVE_SEED for longer campaigns.
+# Serving benchmark, then the budget-exhaustion check, in two parts.
+# 1. Measure: a short _servebench durable-mix run (the real dplearn-serve
+#    binary with a write-ahead log, 10^6-ε budgets so admission never
+#    refuses, every request sent once; see _servebench/README.md). It
+#    prints goodput, p50/p99 latency and the rest, its result line
+#    becomes BENCH_serve.json, and a failed run fails the target.
+# 2. Check: boot a traced dplearn-serve with an access log and a
+#    write-ahead log in a fresh temporary directory, run both tenants out
+#    of budget with dplearn-loadgen through the retry client, SIGINT the
+#    server (the drain audits every tenant's accountant against its log),
+#    and verify the trace/ledger/access join with dplearn-trace -check,
+#    leaving serve_trace.ndjson and serve_access.ndjson.
+# SERVE_SEED seeds both parts; SERVE_REQUESTS sizes part 2.
 SERVE_REQUESTS ?= 1000
 SERVE_SEED ?= 1
 bench-serve:
+	@out=$$(mktemp); \
+	bash _servebench/run.sh --workload durable-mix --seed $(SERVE_SEED) --seconds 4 --trace 0 > "$$out"; \
+	status=$$?; cat "$$out"; tail -n 1 "$$out" > BENCH_serve.json; rm -f "$$out"; \
+	[ $$status -eq 0 ] || { echo "bench-serve: the _servebench run failed (exit $$status)"; exit 1; }
 	$(GO) build -o bin/dplearn-serve ./cmd/dplearn-serve
 	$(GO) build -o bin/dplearn-loadgen ./cmd/dplearn-loadgen
 	$(GO) build -o bin/dplearn-trace ./cmd/dplearn-trace
@@ -115,7 +122,7 @@ bench-serve:
 	for i in $$(seq 1 100); do [ -s serve.addr ] && break; sleep 0.1; done; \
 	[ -s serve.addr ] || { echo "bench-serve: server never published its address"; kill $$serve_pid; rm -rf "$$wal_dir"; exit 1; }; \
 	./bin/dplearn-loadgen -addr "$$(cat serve.addr)" -tenants alpha,beta \
-	  -requests $(SERVE_REQUESTS) -seed $(SERVE_SEED) -concurrency 8 -out BENCH_serve.json; \
+	  -requests $(SERVE_REQUESTS) -seed $(SERVE_SEED) -concurrency 8; \
 	load_status=$$?; \
 	kill -INT $$serve_pid; wait $$serve_pid; serve_status=$$?; \
 	rm -f serve.addr; rm -rf "$$wal_dir"; \

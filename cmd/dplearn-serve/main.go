@@ -6,9 +6,13 @@
 //
 // Each tenant's declared value is its hard ε budget; every spending
 // request rides the accountant's two-phase Reserve/Commit protocol, a
-// request the budget cannot admit answers 429 + Retry-After (or
-// degrades per its refuse/fallback/widen policy), and /metrics exposes
-// per-tenant spend gauges next to the service counters.
+// request the budget cannot admit answers 429 (or degrades per its
+// refuse/fallback/widen policy), and /metrics exposes per-tenant spend
+// gauges next to the service counters. A 429 is final when the
+// committed spends alone refuse the request: it carries the code
+// "budget_exhausted" and no Retry-After, since spends never fall. A
+// 429 that an outstanding hold could still clear carries -retry-after,
+// as a 503 does.
 //
 // On SIGINT/SIGTERM or -timeout the server drains gracefully: new /v1
 // requests get 503, in-flight requests finish (commit or release —
@@ -44,7 +48,8 @@
 // mounts /debug/pprof on the service mux (and on -metrics-addr when
 // set). -access-log writes one NDJSON "access" line per /v1 request:
 // trace id, tenant, endpoint, status, quoted vs. spent ε, reservation
-// outcome, and duration in logical ticks.
+// outcome, duration in logical ticks, and the request span's id when
+// the request carried a traceparent.
 package main
 
 import (
@@ -81,7 +86,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel worker cap for learner hot paths (0 = all CPUs)")
 	timeout := flag.Duration("timeout", 0, "drain and exit after this duration (0 = run until SIGINT)")
 	grace := flag.Duration("drain-grace", 10*time.Second, "how long drain waits for in-flight requests")
-	retryAfter := flag.Int("retry-after", 1, "Retry-After seconds on 503 responses and floor of the burn-rate 429 hint")
+	retryAfter := flag.Int("retry-after", 1, "Retry-After seconds on 503 responses and on 429s an outstanding hold could still clear (a final 429 carries none)")
 	accessLog := flag.String("access-log", "", "write one NDJSON access line per /v1 request to this file")
 	var obsFlags obsglue.Flags
 	obsFlags.Register(flag.CommandLine)

@@ -9,16 +9,17 @@
 //	dplearn-trace -tenant beta -top 5 serve_trace.ndjson serve_access.ndjson
 //	dplearn-trace -check serve_trace.ndjson serve_access.ndjson
 //
-// The default view is a top-K-slowest table with ε attribution: trace
+// A retried request leaves one access record per attempt under its
+// trace id, each naming its own request span; every attempt is kept.
+// The default view is a top-K-slowest table with ε attribution, one row
+// per trace showing the attempt that charged (else the last): trace
 // id, tenant, endpoint, status, duration in logical ticks, quoted and
-// committed ε, and the request's critical path (the chain of
-// longest-duration child spans from the request root). -trace renders
-// one request's full span waterfall plus its ledger charges. -check
-// verifies the join invariants and exits non-zero on any violation:
-// every committed request's spent ε must equal the canonical basic
-// composition (obs.ComposeBasic) of the ledger records carrying its
-// trace id, bit for bit, and every trace-stamped ledger record must
-// join to exactly one access record.
+// committed ε, and the critical path (the chain of longest-duration
+// child spans from that attempt's request span). -trace renders one
+// request's span waterfall, every attempt's access line and its ledger
+// charges. -check runs obs.CheckJoin — the join rules, attempt by
+// attempt — prints each violation, the attempt count and each tenant's
+// traced charges, and exits non-zero on any violation.
 package main
 
 import (
@@ -58,11 +59,10 @@ func main() {
 		data.Merge(part)
 	}
 
-	reqs := joinRequests(data)
 	if *check {
-		os.Exit(runCheck(data, reqs))
+		os.Exit(runCheck(data))
 	}
-	reqs = filterRequests(reqs, *tenant, *endpoint)
+	reqs := filterRequests(joinRequests(data), *tenant, *endpoint)
 	if *traceID != "" {
 		for _, r := range reqs {
 			if r.trace == *traceID {
@@ -81,7 +81,8 @@ type requestStory struct {
 	root   *spanNode
 	spans  []obs.SpanRecord
 	ledger []obs.LedgerRecord
-	access *obs.AccessRecord
+	// attempts holds the access record of every attempt, in log order.
+	attempts []*obs.AccessRecord
 }
 
 // spanNode is one span in the reconstructed tree.
@@ -95,7 +96,7 @@ func (n *spanNode) duration() int64 { return n.rec.End - n.rec.Start }
 // joinRequests groups spans, ledger lines, and access records by trace
 // id and reconstructs each request's span tree. A request needs at least
 // one of (root span, access record) to appear; ledger records without a
-// trace id are left out of every story (they are visible to -check).
+// trace id belong to no request and are left out of every story.
 func joinRequests(data *obs.TraceData) []*requestStory {
 	byTrace := map[string]*requestStory{}
 	story := func(trace string) *requestStory {
@@ -123,11 +124,15 @@ func joinRequests(data *obs.TraceData) []*requestStory {
 		if ar.Trace == "" {
 			continue
 		}
-		story(ar.Trace).access = ar
+		story(ar.Trace).attempts = append(story(ar.Trace).attempts, ar)
 	}
 	var out []*requestStory
 	for _, s := range byTrace {
-		s.root = buildTree(s.spans)
+		var rootID uint64
+		if a := s.access(); a != nil {
+			rootID = a.Span
+		}
+		s.root = buildTree(s.spans, rootID)
 		out = append(out, s)
 	}
 	// Slowest first; ties (and missing spans) break by trace id so the
@@ -142,11 +147,25 @@ func joinRequests(data *obs.TraceData) []*requestStory {
 	return out
 }
 
-// durationTicks is the request's duration: the access record's when
+// access returns the attempt the table shows: the one that charged,
+// else the last; nil when the trace has no access record.
+func (s *requestStory) access() *obs.AccessRecord {
+	for _, a := range s.attempts {
+		if a.SpentEpsilon > 0 || a.Outcome == "committed" {
+			return a
+		}
+	}
+	if n := len(s.attempts); n > 0 {
+		return s.attempts[n-1]
+	}
+	return nil
+}
+
+// durationTicks is the request's duration: the shown attempt's when
 // present (it spans the whole middleware window), else the root span's.
 func (s *requestStory) durationTicks() int64 {
-	if s.access != nil {
-		return s.access.Duration
+	if a := s.access(); a != nil {
+		return a.Duration
 	}
 	if s.root != nil {
 		return s.root.duration()
@@ -154,11 +173,12 @@ func (s *requestStory) durationTicks() int64 {
 	return 0
 }
 
-// buildTree links spans into a tree by id/parent and returns the
-// server-side request root: the earliest-starting parentless span
-// (a merged client trace contributes its own root, which starts
-// earlier but holds no children of interest on the server side).
-func buildTree(spans []obs.SpanRecord) *spanNode {
+// buildTree links spans into a tree by id/parent and returns the node
+// of span rootID when the trace holds it — the shown attempt's request
+// span — else the server-side request root: the earliest-starting
+// parentless span with descendants (a merged client trace contributes
+// its own root, which holds no children of interest on the server side).
+func buildTree(spans []obs.SpanRecord, rootID uint64) *spanNode {
 	if len(spans) == 0 {
 		return nil
 	}
@@ -182,6 +202,9 @@ func buildTree(spans []obs.SpanRecord) *spanNode {
 			}
 			return a.ID < b.ID
 		})
+	}
+	if n, ok := nodes[rootID]; ok {
+		return n
 	}
 	sort.Slice(roots, func(i, j int) bool {
 		a, b := roots[i].rec, roots[j].rec
@@ -219,7 +242,7 @@ func criticalPath(n *spanNode) []*spanNode {
 func filterRequests(reqs []*requestStory, tenant, endpoint string) []*requestStory {
 	var out []*requestStory
 	for _, r := range reqs {
-		if tenant != "" && (r.access == nil || r.access.Tenant != tenant) {
+		if tenant != "" && (r.access() == nil || r.access().Tenant != tenant) {
 			continue
 		}
 		if endpoint != "" && r.endpointName() != endpoint {
@@ -231,8 +254,8 @@ func filterRequests(reqs []*requestStory, tenant, endpoint string) []*requestSto
 }
 
 func (s *requestStory) endpointName() string {
-	if s.access != nil {
-		return s.access.Endpoint
+	if a := s.access(); a != nil {
+		return a.Endpoint
 	}
 	if s.root != nil {
 		return s.root.rec.Name
@@ -242,12 +265,7 @@ func (s *requestStory) endpointName() string {
 
 // spentEpsilon composes the trace's ledger charges canonically.
 func (s *requestStory) spentEpsilon() float64 {
-	eps := make([]float64, len(s.ledger))
-	del := make([]float64, len(s.ledger))
-	for i, lr := range s.ledger {
-		eps[i], del[i] = lr.Epsilon, lr.Delta
-	}
-	e, _ := obs.ComposeBasic(eps, del)
+	e, _ := obs.ComposeLedger(s.ledger)
 	return e
 }
 
@@ -266,10 +284,10 @@ func renderTable(reqs []*requestStory, top int) {
 		}
 		n++
 		tenant, status, quoted := "-", "-", "-"
-		if r.access != nil {
-			tenant = r.access.Tenant
-			status = fmt.Sprintf("%d", r.access.Status)
-			quoted = fmt.Sprintf("%.4g", r.access.QuotedEpsilon)
+		if a := r.access(); a != nil {
+			tenant = a.Tenant
+			status = fmt.Sprintf("%d", a.Status)
+			quoted = fmt.Sprintf("%.4g", a.QuotedEpsilon)
 		}
 		var pathStr string
 		if r.root != nil {
@@ -285,14 +303,14 @@ func renderTable(reqs []*requestStory, top int) {
 	fmt.Fprintf(os.Stdout, "%d traced request(s), showing %d\n", len(reqs), n)
 }
 
-// renderWaterfall prints one request's span tree with tick offsets,
-// followed by its ledger charges and access-log line.
+// renderWaterfall prints every attempt's access line, then the shown
+// attempt's span tree with tick offsets, then the trace's ledger
+// charges.
 func renderWaterfall(r *requestStory) {
 	fmt.Fprintf(os.Stdout, "trace %s\n", r.trace)
-	if r.access != nil {
-		fmt.Fprintf(os.Stdout, "access: tenant=%s endpoint=%s status=%d outcome=%s quoted_eps=%.6g spent_eps=%.6g ticks=%d\n",
-			r.access.Tenant, r.access.Endpoint, r.access.Status, r.access.Outcome,
-			r.access.QuotedEpsilon, r.access.SpentEpsilon, r.access.Duration)
+	for _, a := range r.attempts {
+		fmt.Fprintf(os.Stdout, "access: span=%d tenant=%s endpoint=%s status=%d outcome=%s quoted_eps=%.6g spent_eps=%.6g ticks=%d\n",
+			a.Span, a.Tenant, a.Endpoint, a.Status, a.Outcome, a.QuotedEpsilon, a.SpentEpsilon, a.Duration)
 	}
 	if r.root != nil {
 		base := r.root.rec.Start
@@ -331,84 +349,23 @@ func renderWaterfall(r *requestStory) {
 	fmt.Fprintf(os.Stdout, "composed spent eps: %.17g\n", r.spentEpsilon())
 }
 
-// runCheck verifies the join invariants and returns the exit code.
-func runCheck(data *obs.TraceData, reqs []*requestStory) int {
-	violations := 0
-	fail := func(format string, args ...any) {
-		violations++
-		fmt.Fprintf(os.Stdout, "FAIL: "+format+"\n", args...)
+// runCheck runs the shared join check, prints its findings and returns
+// the exit code. The per-tenant totals are printed, not compared: the
+// accountant's total is the drain line's business.
+func runCheck(data *obs.TraceData) int {
+	rep := obs.CheckJoin(data)
+	for _, v := range rep.Violations {
+		fmt.Fprintf(os.Stdout, "FAIL: %s\n", v)
 	}
-	// 1. Every trace-stamped ledger record joins to exactly one access
-	// record (when an access log was supplied at all).
-	haveAccess := len(data.Access) > 0
-	accessByTrace := map[string]int{}
-	for _, ar := range data.Access {
-		if ar.Trace != "" {
-			accessByTrace[ar.Trace]++
-		}
+	for _, tc := range rep.Tenants {
+		fmt.Fprintf(os.Stdout, "tenant %s: %d traced charge(s) compose to eps=%.17g\n", tc.Tenant, tc.Charges, tc.Epsilon)
 	}
-	for trace, n := range accessByTrace {
-		if n > 1 {
-			fail("trace %s appears on %d access records (want exactly 1)", trace, n)
-		}
-	}
-	if haveAccess {
-		for _, lr := range data.Ledger {
-			if lr.Trace == "" {
-				continue
-			}
-			if accessByTrace[lr.Trace] == 0 {
-				fail("ledger seq %d carries trace %s with no access record", lr.Seq, lr.Trace)
-			}
-		}
-	}
-	// 2. Every committed 2xx request's spent ε equals the canonical
-	// composition of its trace's ledger charges, bit for bit.
-	checked := 0
-	perTenant := map[string][]float64{}
-	perTenantDel := map[string][]float64{}
-	for _, r := range reqs {
-		if r.access == nil || r.access.Status < 200 || r.access.Status >= 300 {
-			continue
-		}
-		for _, lr := range r.ledger {
-			perTenant[r.access.Tenant] = append(perTenant[r.access.Tenant], lr.Epsilon)
-			perTenantDel[r.access.Tenant] = append(perTenantDel[r.access.Tenant], lr.Delta)
-		}
-		if r.access.Outcome != "committed" {
-			continue
-		}
-		checked++
-		composed := r.spentEpsilon()
-		//dplint:ignore floateq bit-exact access-log-vs-ledger agreement is the audited property
-		if composed != r.access.SpentEpsilon {
-			fail("trace %s: access log says spent=%.17g, ledger composes to %.17g",
-				r.trace, r.access.SpentEpsilon, composed)
-		}
-		if len(r.ledger) == 0 {
-			fail("trace %s: committed with spent=%.17g but no ledger charges", r.trace, r.access.SpentEpsilon)
-		}
-	}
-	for _, tenant := range sortedKeys(perTenant) {
-		e, _ := obs.ComposeBasic(perTenant[tenant], perTenantDel[tenant])
-		fmt.Fprintf(os.Stdout, "tenant %s: %d traced charge(s) compose to eps=%.17g\n",
-			tenant, len(perTenant[tenant]), e)
-	}
-	fmt.Fprintf(os.Stdout, "checked %d committed request(s) across %d trace(s): %d violation(s)\n",
-		checked, len(reqs), violations)
-	if violations > 0 {
+	fmt.Fprintf(os.Stdout, "checked %d attempt(s) across %d trace(s): %d violation(s)\n",
+		rep.Attempts, rep.Traces, len(rep.Violations))
+	if len(rep.Violations) > 0 {
 		return 1
 	}
 	return 0
-}
-
-func sortedKeys(m map[string][]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func fatal(err error) {

@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"go/token"
 	"os"
 	"strings"
 	"testing"
@@ -68,6 +69,16 @@ func TestBudgetCertificatesCoverEntrySurface(t *testing.T) {
 		}
 		if c.Eps != wantEps {
 			t.Errorf("%s certifies eps=%q, want %q", entry, c.Eps, wantEps)
+		}
+	}
+
+	// A method is an entry only when an importer can name its receiver:
+	// no certificate goes to a method of an unexported type.
+	for _, c := range certs {
+		if recv, _, ok := strings.Cut(c.Entry, ")."); ok && strings.HasPrefix(recv, "(") {
+			if typ := recv[strings.LastIndex(recv, ".")+1:]; !token.IsExported(typ) {
+				t.Errorf("%s is certified, but its receiver type %s is unexported", c.Entry, typ)
+			}
 		}
 	}
 

@@ -1445,20 +1445,34 @@ func reproEntry(node *FuncNode) bool {
 	name := node.Decl.Name
 	switch node.Pkg.Path {
 	case "repro", "repro/internal/core", "repro/internal/learn":
-		return name.IsExported()
+		return name.IsExported() && recvExported(node)
 	case "repro/internal/mechanism":
 		// The sparse-vector entry points live in svt.go; the rest of the
 		// package is mechanism plumbing certified through its callers.
-		return name.IsExported() &&
+		return name.IsExported() && recvExported(node) &&
 			filepath.Base(node.Pkg.Fset.Position(node.Decl.Pos()).Filename) == "svt.go"
 	case "repro/internal/serve":
 		if !strings.HasPrefix(name.Name, "handle") {
 			return false
 		}
-		return node.Decl.Recv != nil && len(node.Decl.Recv.List) > 0 &&
-			namedName(node.Pkg.Info.TypeOf(node.Decl.Recv.List[0].Type)) == "Server"
+		return recvName(node) == "Server"
 	}
 	return false
+}
+
+// recvName is the named type of node's receiver ("" for a function).
+func recvName(node *FuncNode) string {
+	if node.Decl.Recv == nil || len(node.Decl.Recv.List) == 0 {
+		return ""
+	}
+	return namedName(node.Pkg.Info.TypeOf(node.Decl.Recv.List[0].Type))
+}
+
+// recvExported reports whether node is a function or a method whose
+// receiver type an importer can name: an exported method of an
+// unexported type (an interface adapter, say) is no entry point.
+func recvExported(node *FuncNode) bool {
+	return node.Decl.Recv == nil || token.IsExported(recvName(node))
 }
 
 // ---------------------------------------------------------------------------

@@ -220,11 +220,13 @@ func (l *Learner) prelude(ctx context.Context, name string, d *dataset.Dataset) 
 // the reservation is retried once at one ulp below r, leaving at most an
 // ulp of the budget open. λ = r·n/(2M) can round so that 2λ·M/n lands
 // above the reserved amount, so λ steps down an ulp at a time until the
-// released guarantee fits inside the charge.
+// released guarantee fits inside the charge. A refusal is final
+// (mechanism.ErrBudgetSpent) only when the spends alone leave no
+// headroom; one that holds caused may clear when they are released.
 func (l *Learner) widen(n int) (*gibbs.Estimator, *mechanism.Reservation, error) {
 	rem, ok := l.cfg.Acct.Remaining()
 	if !ok || rem.Epsilon <= 0 {
-		return nil, nil, fmt.Errorf("core: cannot widen, no budget remaining: %w", mechanism.ErrBudgetExhausted)
+		return nil, nil, fmt.Errorf("core: cannot widen, no budget remaining: %w", l.cfg.Acct.Refusal())
 	}
 	lambda, err := gibbs.LambdaForEpsilonErr(rem.Epsilon, l.cfg.Loss, n)
 	if err != nil {
@@ -243,9 +245,10 @@ func (l *Learner) widen(n int) (*gibbs.Estimator, *mechanism.Reservation, error)
 		res, err = l.cfg.Acct.Reserve(rem)
 	}
 	if err != nil {
-		// Lost the headroom to a concurrent reservation between Remaining
-		// and Reserve; treat as exhausted.
-		return nil, nil, fmt.Errorf("core: widened reservation lost a race: %w", err)
+		// Lost the headroom to a concurrent reservation or spend between
+		// Remaining and Reserve. A retry widens into what is left then, so
+		// the refusal is final only when the spends alone leave nothing.
+		return nil, nil, fmt.Errorf("core: widened reservation lost a race (%v): %w", err, l.cfg.Acct.Refusal())
 	}
 	for est.Guarantee(n).Epsilon > rem.Epsilon {
 		est.Lambda = math.Nextafter(est.Lambda, 0)

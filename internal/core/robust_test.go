@@ -196,12 +196,41 @@ func TestFitWidenPolicy(t *testing.T) {
 	if second.Certificate.Lambda >= first.Certificate.Lambda {
 		t.Fatalf("widened λ %v not below configured λ %v", second.Certificate.Lambda, first.Certificate.Lambda)
 	}
-	if _, err := l.Fit(d, g); !errors.Is(err, mechanism.ErrBudgetExhausted) {
-		t.Fatalf("third fit with zero remaining: want ErrBudgetExhausted, got %v", err)
+	if _, err := l.Fit(d, g); !errors.Is(err, mechanism.ErrBudgetSpent) {
+		t.Fatalf("third fit with zero remaining: want the final ErrBudgetSpent, got %v", err)
 	}
 	composed := acct.BasicComposition()
 	if composed.Epsilon > budget.Epsilon {
 		t.Fatalf("composed ε %v exceeds budget %v", composed.Epsilon, budget.Epsilon)
+	}
+}
+
+// TestFitWidenRefusalUnderHold pins when a widen refusal is final: a
+// hold that takes the remaining headroom refuses the widened fit, but
+// not for good — once the hold is released the same fit widens into the
+// remainder.
+func TestFitWidenRefusalUnderHold(t *testing.T) {
+	var acct mechanism.Accountant
+	l, d, g := budgetedLearner(t, 2, &acct, DegradeWiden)
+	full := fitGuarantee(t, l, d)
+	if err := acct.SetBudget(mechanism.Guarantee{Epsilon: 1.5 * full.Epsilon}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Fit(d, g); err != nil {
+		t.Fatal(err)
+	}
+	rem, _ := acct.Remaining()
+	hold, err := acct.Reserve(rem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = l.Fit(d, g)
+	if !errors.Is(err, mechanism.ErrBudgetExhausted) || errors.Is(err, mechanism.ErrBudgetSpent) {
+		t.Fatalf("widen under a hold: want a refusal that is not final, got %v", err)
+	}
+	hold.Release()
+	if fit, err := l.Fit(d, g); err != nil || !fit.Degraded {
+		t.Fatalf("widen after the hold's release: %+v, %v", fit, err)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"repro/internal/mathx"
 )
 
 // ErrBudgetExhausted reports that admitting a release would push the
@@ -12,6 +14,13 @@ import (
 // pipeline checks it with errors.Is and applies the caller's
 // DegradePolicy (refuse, fall back, or widen) instead of spending.
 var ErrBudgetExhausted = errors.New("mechanism: privacy budget exhausted")
+
+// ErrBudgetSpent marks a refusal as final: the committed spends alone
+// already refuse the request, and spends never fall, so no retry can be
+// admitted under the same budget. It wraps ErrBudgetExhausted, which
+// every refusal matches; a refusal that releasing an outstanding hold
+// could still reverse matches ErrBudgetExhausted alone.
+var ErrBudgetSpent = fmt.Errorf("%w: the committed spends alone refuse it", ErrBudgetExhausted)
 
 // SetBudget installs a hard cap on the accountant's basic composition:
 // every subsequent Reserve is admitted only if the composed guarantee
@@ -73,6 +82,35 @@ func (a *Accountant) usedLocked() Guarantee {
 	return Guarantee{Epsilon: a.usedEps.Float64(), Delta: a.usedDel.Float64()}
 }
 
+// spentRefusesLocked reports whether the spends alone refuse g: their
+// exact composition with g, rounded once, passes the budget in ε or δ.
+// Caller holds a.mu and has set a budget.
+func (a *Accountant) spentRefusesLocked(g Guarantee) bool {
+	var none mathx.ExactSum
+	a.usedEps.SetSum(&a.spentEps, &none)
+	a.usedEps.Add(g.Epsilon)
+	a.usedDel.SetSum(&a.spentDel, &none)
+	a.usedDel.Add(g.Delta)
+	return !(a.usedEps.Float64() <= a.budget.Epsilon && a.usedDel.Float64() <= a.budget.Delta)
+}
+
+// Refusal returns the error for a refused request that would take
+// whatever ε headroom is left, as a widened fit does: ErrBudgetSpent
+// when the spends alone leave none, so no retry can find any;
+// otherwise ErrBudgetExhausted, since the holds that took the headroom
+// may yet be released.
+func (a *Accountant) Refusal() error {
+	if a == nil {
+		return ErrBudgetExhausted
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.hasBudget && !(a.spentEps.Float64() < a.budget.Epsilon) {
+		return ErrBudgetSpent
+	}
+	return ErrBudgetExhausted
+}
+
 // Remaining returns the budget headroom: the budget minus the
 // composition of all spends and held reservations, clamped at zero
 // component-wise. The second result is false when no budget is set.
@@ -132,9 +170,11 @@ const (
 // wrapping ErrBudgetExhausted and holds nothing. With no budget set,
 // Reserve always admits. A guarantee with a NaN, infinite or negative
 // component is refused with an error of its own: no budget could admit
-// it. On a nil accountant Reserve returns (nil, nil): the nil
-// Reservation's Commit and Release are no-ops, matching the
-// nil-accountant contract of Spend.
+// it. A refusal wraps ErrBudgetSpent when the spends alone, without the
+// holds, would refuse g too: the verdict is exact, taken under the
+// lock, and computed on the refusal path only. On a nil accountant
+// Reserve returns (nil, nil): the nil Reservation's Commit and Release
+// are no-ops, matching the nil-accountant contract of Spend.
 //
 // Admission is decided on the exact composition of the obligation
 // multiset, rounded once, so the verdict for a given set of outstanding
@@ -157,8 +197,12 @@ func (a *Accountant) Reserve(g Guarantee) (*Reservation, error) {
 		if used := a.usedLocked(); !(used.Epsilon <= a.budget.Epsilon && used.Delta <= a.budget.Delta) {
 			a.heldEps.Sub(g.Epsilon)
 			a.heldDel.Sub(g.Delta)
+			cause := ErrBudgetExhausted
+			if a.spentRefusesLocked(g) {
+				cause = ErrBudgetSpent
+			}
 			return nil, fmt.Errorf("mechanism: reserving (ε=%g, δ=%g) would compose to (ε=%g, δ=%g), over budget (ε=%g, δ=%g): %w",
-				g.Epsilon, g.Delta, used.Epsilon, used.Delta, a.budget.Epsilon, a.budget.Delta, ErrBudgetExhausted)
+				g.Epsilon, g.Delta, used.Epsilon, used.Delta, a.budget.Epsilon, a.budget.Delta, cause)
 		}
 	}
 	a.held++

@@ -96,6 +96,56 @@ func TestBudgetEnforced(t *testing.T) {
 	}
 }
 
+// TestRefusalFinality pins which refusals are final: a refusal wraps
+// ErrBudgetSpent exactly when the spends alone refuse the request, and
+// Refusal says so for a request that takes whatever headroom is left.
+func TestRefusalFinality(t *testing.T) {
+	var a Accountant
+	if err := a.SetBudget(Guarantee{Epsilon: 1, Delta: 1e-9}); err != nil {
+		t.Fatal(err)
+	}
+	final := func(g Guarantee) bool {
+		t.Helper()
+		_, err := a.Reserve(g)
+		if !errors.Is(err, ErrBudgetExhausted) {
+			t.Fatalf("Reserve(%+v) = %v, want a refusal", g, err)
+		}
+		return errors.Is(err, ErrBudgetSpent)
+	}
+	r1, err := a.Reserve(Guarantee{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := a.Reserve(Guarantee{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final(Guarantee{Epsilon: 1e-6}) || a.Refusal() != ErrBudgetExhausted {
+		t.Error("a refusal that only holds cause is final")
+	}
+	if !final(Guarantee{Epsilon: 1.5}) {
+		t.Error("a quote past the whole budget is not final")
+	}
+	r1.Commit(SpendMeta{})
+	if final(Guarantee{Epsilon: 0.5}) {
+		t.Error("spent 0.5 + 0.5 fits the budget exactly, yet the refusal is final")
+	}
+	if !final(Guarantee{Epsilon: 0.6}) || !final(Guarantee{Delta: 1e-8}) {
+		t.Error("a quote the spends alone refuse, in ε or in δ, is not final")
+	}
+	r2.Release()
+	if a.Refusal() != ErrBudgetExhausted {
+		t.Error("Refusal is final with half the budget unspent")
+	}
+	a.Spend(Guarantee{Epsilon: 0.5})
+	if !final(Guarantee{Epsilon: 1e-6}) || a.Refusal() != ErrBudgetSpent {
+		t.Error("a spent budget's refusal is not final")
+	}
+	if got := a.Reserved(); got != 0 {
+		t.Errorf("refusals left %d hold(s)", got)
+	}
+}
+
 // TestReserveWithoutBudgetAdmitsAll pins that Reserve without SetBudget
 // is pure bookkeeping.
 func TestReserveWithoutBudgetAdmitsAll(t *testing.T) {

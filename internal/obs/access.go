@@ -13,6 +13,10 @@ type AccessRecord struct {
 	// Trace is the request's 32-hex-digit W3C trace id ("" when the
 	// client sent no traceparent header).
 	Trace string `json:"trace,omitempty"`
+	// Span is the id of the server's request span for this attempt (0,
+	// and omitted, when the request is untraced). Each attempt of a
+	// retried request has its own, so a trace's attempts tell apart.
+	Span uint64 `json:"span,omitempty"`
 	// Tenant is the tenant id the request named ("" when unresolved).
 	Tenant string `json:"tenant,omitempty"`
 	// Endpoint is the logical endpoint ("fit", "density", ...).

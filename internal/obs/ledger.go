@@ -76,3 +76,13 @@ func ComposeBasic(eps, del []float64) (epsilon, delta float64) {
 	}
 	return se.Float64(), sd.Float64()
 }
+
+// ComposeLedger is ComposeBasic over the guarantees of ledger lines.
+func ComposeLedger(lines []LedgerRecord) (epsilon, delta float64) {
+	eps := make([]float64, len(lines))
+	del := make([]float64, len(lines))
+	for i, lr := range lines {
+		eps[i], del[i] = lr.Epsilon, lr.Delta
+	}
+	return ComposeBasic(eps, del)
+}

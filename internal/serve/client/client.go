@@ -5,11 +5,13 @@
 //
 // The retry policy encodes the serve layer's charging semantics:
 //
-//   - 429 (budget refused) and 503 (draining/overload) are always
-//     retryable — a refused request charged nothing, so a retry risks
-//     nothing. The server's Retry-After hint is honored, capped at
-//     MaxRetryAfter so a test fleet does not sleep a wall-clock minute
-//     on a hard-exhausted budget that will never replenish.
+//   - A 429 without Retry-After is final: the tenant's committed spends
+//     alone refuse the request, spends never fall, so the client stops
+//     (its body carries the code "budget_exhausted").
+//   - A 429 with Retry-After (an outstanding hold may yet free the
+//     budget) and a 503 (draining/overload) are retried — a refused
+//     request charged nothing, so a retry risks nothing. The hint is
+//     honored, capped at MaxRetryAfter.
 //   - Other 5xx and transport errors are retried ONLY when the request
 //     carries an idempotency key. A 500 can hide a post-commit crash —
 //     the charge is durable even though the response was lost — and a
@@ -55,10 +57,8 @@ type Config struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps one backoff sleep (default 1s).
 	MaxBackoff time.Duration
-	// MaxRetryAfter caps how long a server Retry-After hint is honored.
-	// Budgets never replenish, so long hints usually mean "never":
-	// sleeping them in full would serialize a whole load run behind one
-	// exhausted tenant (default 500ms).
+	// MaxRetryAfter caps how long a server Retry-After hint is honored
+	// (default 500ms).
 	MaxRetryAfter time.Duration
 	// BreakerThreshold is the consecutive-5xx count that opens the
 	// circuit (default 5; <0 disables the breaker).
@@ -104,21 +104,12 @@ type Result struct {
 	Status int
 	// Body is the final response body.
 	Body []byte
-	// Attempts is how many HTTP requests were sent (≥1); Retries is
-	// Attempts-1.
+	// Attempts is how many HTTP requests were sent (≥1).
 	Attempts int
 	// Replayed reports that the response came from the server's durable
 	// idempotency store (the Idempotency-Replayed header) rather than a
 	// fresh release.
 	Replayed bool
-}
-
-// Retries returns the retry count of the settled request.
-func (r *Result) Retries() int {
-	if r.Attempts <= 1 {
-		return 0
-	}
-	return r.Attempts - 1
 }
 
 // Client is a retrying dplearn-serve client. Safe for concurrent use;
@@ -159,7 +150,7 @@ func (c *Client) PostRaw(ctx context.Context, path string, body []byte, idemKey 
 			}
 			return nil, fmt.Errorf("%w (cooling %s)", ErrCircuitOpen, wait.Round(time.Millisecond))
 		}
-		status, respBody, retryAfter, replayed, err := c.once(ctx, path, body, idemKey, header)
+		status, respBody, hdr, err := c.once(ctx, path, body, idemKey, header)
 		res.Attempts = attempt + 1
 		if err != nil {
 			lastErr = err
@@ -179,16 +170,19 @@ func (c *Client) PostRaw(ctx context.Context, path string, body []byte, idemKey 
 		}
 		res.Status = status
 		res.Body = respBody
-		res.Replayed = res.Replayed || replayed
+		res.Replayed = res.Replayed || hdr.Get("Idempotency-Replayed") == "true"
+		retryAfter, hinted := RetryAfterSeconds(hdr.Get("Retry-After"))
 		switch {
 		case status >= 500 && status != http.StatusServiceUnavailable:
 			c.recordFailure()
 			if idemKey == "" {
 				return res, nil // the 5xx is the answer; retrying could double-spend
 			}
-		case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
+		case status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests && hinted:
 			c.recordSuccess() // the server is alive and answering; only real failures trip the breaker
 		default:
+			// A 2xx, another 4xx, or a final 429 — one without Retry-After,
+			// which the spent budget answers to every retry — settles.
 			c.recordSuccess()
 			return res, nil
 		}
@@ -211,11 +205,12 @@ func (c *Client) PostRaw(ctx context.Context, path string, body []byte, idemKey 
 	return res, nil
 }
 
-// once sends a single HTTP attempt.
-func (c *Client) once(ctx context.Context, path string, body []byte, idemKey string, header http.Header) (status int, respBody []byte, retryAfter time.Duration, replayed bool, err error) {
+// once sends a single HTTP attempt and returns its status, body and
+// response header.
+func (c *Client) once(ctx context.Context, path string, body []byte, idemKey string, header http.Header) (status int, respBody []byte, hdr http.Header, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, 0, false, err
+		return 0, nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	for k, vs := range header {
@@ -228,15 +223,14 @@ func (c *Client) once(ctx context.Context, path string, body []byte, idemKey str
 	}
 	resp, err := c.cfg.HTTP.Do(req)
 	if err != nil {
-		return 0, nil, 0, false, err
+		return 0, nil, nil, err
 	}
 	defer resp.Body.Close() //dplint:ignore errdrop read-only response body
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return 0, nil, 0, false, err
+		return 0, nil, nil, err
 	}
-	ra, _ := RetryAfterSeconds(resp.Header.Get("Retry-After"))
-	return resp.StatusCode, b, ra, resp.Header.Get("Idempotency-Replayed") == "true", nil
+	return resp.StatusCode, b, resp.Header, nil
 }
 
 // backoff draws the full-jittered exponential backoff for attempt n:

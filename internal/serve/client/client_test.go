@@ -39,11 +39,35 @@ func TestRetriesRefusalsThenSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PostRaw: %v", err)
 	}
-	if res.Status != 200 || res.Attempts != 3 || res.Retries() != 2 {
+	if res.Status != 200 || res.Attempts != 3 {
 		t.Fatalf("res=%+v, want 200 after 3 attempts", res)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("server saw %d calls, want 3", got)
+	}
+}
+
+// TestFinal429NotRetried pins that a 429 without Retry-After — the
+// server's final refusal of a spent budget — settles on its first
+// attempt.
+func TestFinal429NotRetried(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.WriteHeader(http.StatusTooManyRequests)
+		w.Write([]byte(`{"error":"spent","code":"budget_exhausted"}`))
+	}))
+	defer srv.Close()
+	c := New(testCfg(srv.URL))
+	res, err := c.PostRaw(context.Background(), "/v1/fit", nil, "k1", nil)
+	if err != nil {
+		t.Fatalf("PostRaw: %v", err)
+	}
+	if res.Status != http.StatusTooManyRequests || res.Attempts != 1 {
+		t.Fatalf("res=%+v, want one un-retried 429", res)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("server saw %d calls, want 1", got)
 	}
 }
 

@@ -9,12 +9,16 @@
 // two-phase Reserve/Commit/Release protocol, so admission control is
 // decided on the canonical composition of spends plus outstanding
 // reservations (no TOCTOU window), a request the budget cannot admit is
-// rejected with 429 + Retry-After (or degraded per the request's
+// rejected with 429 (or degraded per the request's
 // refuse/fallback/widen policy), and a request that fails mid-release —
 // error, cancellation, or panic — releases its reservation instead of
-// committing, so the books never hold a half-spend. Each tenant's
-// NDJSON privacy ledger mirrors its accountant spend-for-spend and must
-// cross-check bit-identically (the dynamic analogue of acctlint).
+// committing, so the books never hold a half-spend. A 429 the committed
+// spends alone cause is final: it carries no Retry-After and the code
+// "budget_exhausted". One that an outstanding hold could still clear
+// carries the Retry-After hint. With a write-ahead log, each tenant's
+// accountant is audited bit for bit against the log's books (the
+// dynamic analogue of acctlint); the trace's ledger lines are the
+// offline witness (dplearn-trace -check).
 //
 // Isolation between tenants is structural: separate accountants,
 // ledgers, learners, and fallback caches. One tenant exhausting its
@@ -27,11 +31,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -71,8 +73,9 @@ type Config struct {
 	// Workers caps the parallel fan-out of learner hot paths (0 = all
 	// CPUs). Results are bit-identical for every setting.
 	Workers int
-	// RetryAfterSeconds is the Retry-After hint on 503 responses and the
-	// floor of the burn-rate-derived hint on 429s (default 1).
+	// RetryAfterSeconds is the Retry-After hint on 503 responses and on
+	// the 429s an outstanding hold could still clear (default 1). A
+	// final 429 carries none.
 	RetryAfterSeconds int
 	// Pprof mounts /debug/pprof on the service mux (opt-in, as in the
 	// CLIs).
@@ -106,10 +109,6 @@ type Server struct {
 
 	// recovery holds the per-tenant WAL recovery summaries from boot.
 	recovery []RecoveryReport
-	// startWall anchors the wall-clock burn-rate estimate behind the
-	// 429 Retry-After hint. Wall time never reaches goldened surfaces
-	// (the hint is a response header, like the loadgen's latencies).
-	startWall time.Time
 
 	// testHookInFlight, when set (tests only), runs at a spending
 	// request's in-flight point (see inFlight) — the drain test parks a
@@ -133,7 +132,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, spec: spec, reg: reg, obs: cfg.Observer, startWall: time.Now()}
+	s := &Server{cfg: cfg, spec: spec, reg: reg, obs: cfg.Observer}
 	if cfg.WALDir != "" {
 		// Recovery before traffic: replay each tenant's surviving WAL,
 		// rebuild its accountant bit-identically (audited against the
@@ -266,8 +265,13 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 			mreg.Histogram("dplearn_serve_request_ticks",
 				"request duration in logical clock ticks", requestTickBuckets,
 				"endpoint", endpoint).ObserveExemplar(float64(dur), tc.TraceID())
+			var span uint64
+			if tc.Valid() {
+				span = sp.ID()
+			}
 			s.cfg.AccessLog.Record(obs.AccessRecord{
 				Trace:          tc.TraceID(),
+				Span:           span,
 				Tenant:         ai.tenant,
 				Endpoint:       endpoint,
 				Status:         rec.code,
@@ -337,62 +341,26 @@ func status(err error) int {
 	}
 }
 
-// writeError renders err with its mapped status; 429 and 503 carry the
-// Retry-After hint, and a budget rejection is counted per tenant. The
-// 429 hint is derived from the tenant's measured wall-clock burn rate
-// (see retryAfter) instead of the constant the 503 drain path uses.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, tenantID string, err error) {
+// writeError renders err with its mapped status, and counts a budget
+// rejection per tenant. A final 429 — the accountant found that the
+// committed spends alone refuse the request (mechanism.ErrBudgetSpent)
+// — carries the code "budget_exhausted" and no Retry-After: spends
+// never fall, so no retry can succeed. Every other 429, and every 503,
+// carries the constant Retry-After hint.
+func (s *Server) writeError(w http.ResponseWriter, tenantID string, err error) {
 	code := status(err)
-	switch code {
-	case http.StatusTooManyRequests:
-		quoted := 0.0
-		if ai := accessFrom(r.Context()); ai != nil {
-			quoted = ai.quoted
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter(tenantID, quoted)))
-	case http.StatusServiceUnavailable:
+	resp := ErrorResponse{Error: err.Error()}
+	switch {
+	case code == http.StatusTooManyRequests && errors.Is(err, mechanism.ErrBudgetSpent):
+		resp.Code = "budget_exhausted"
+	case code == http.StatusTooManyRequests, code == http.StatusServiceUnavailable:
 		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSeconds))
 	}
 	if code == http.StatusTooManyRequests && tenantID != "" {
 		s.obs.Reg().Counter("dplearn_serve_admission_rejects_total",
 			"requests rejected by budget admission control", "tenant", tenantID).Inc()
 	}
-	s.writeJSON(w, code, ErrorResponse{Error: err.Error()})
-}
-
-// retryAfter estimates a 429 Retry-After hint from the tenant's measured
-// burn rate: the wall-clock ε/second the tenant has actually committed
-// since boot. The hint is the time the rejected request's quoted ε
-// represents at that velocity — "the pace at which this budget turns
-// over" — clamped to [RetryAfterSeconds, 60]. Budgets never replenish,
-// so the hint is advisory: it matters when outstanding reservations may
-// yet release, and it backs off harder the hotter the tenant runs. Wall
-// time is confined to this response header (never a goldened surface),
-// exactly like the loadgen's latency percentiles.
-func (s *Server) retryAfter(tenantID string, quotedEps float64) int {
-	base := s.cfg.RetryAfterSeconds
-	t, ok := s.reg.Get(tenantID)
-	if !ok {
-		return base
-	}
-	elapsed := time.Since(s.startWall).Seconds()
-	if elapsed <= 0 || quotedEps <= 0 {
-		return base
-	}
-	rate := t.Acct.BasicComposition().Epsilon / elapsed
-	if rate <= 0 {
-		return base
-	}
-	// Clamp in float64: quotedEps/rate can pass the int range (any
-	// finite ε is a valid quote), where conversion is implementation-defined.
-	hint := math.Ceil(quotedEps / rate)
-	if hint < float64(base) {
-		hint = float64(base)
-	}
-	if hint > 60 {
-		hint = 60
-	}
-	return int(hint)
+	s.writeJSON(w, code, resp)
 }
 
 // tenant resolves the tenant or fails with errUnknownTenant.
@@ -427,12 +395,12 @@ type request struct {
 // release inside the durable envelope.
 func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request, rq request, validate func(t *Tenant) error, release func(ctx context.Context, t *Tenant) (any, error)) {
 	if err := json.NewDecoder(r.Body).Decode(rq.body); err != nil {
-		s.writeError(w, r, "", fmt.Errorf("%w: %v", errBadRequest, err))
+		s.writeError(w, "", fmt.Errorf("%w: %v", errBadRequest, err))
 		return
 	}
 	t, err := s.tenant(*rq.tenant)
 	if err != nil {
-		s.writeError(w, r, *rq.tenant, err)
+		s.writeError(w, *rq.tenant, err)
 		return
 	}
 	ai := accessFrom(r.Context())
@@ -441,13 +409,13 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request, rq request
 		ai.setQuoted(*rq.quoted)
 	}
 	if err := validate(t); err != nil {
-		s.writeError(w, r, t.ID, err)
+		s.writeError(w, t.ID, err)
 		return
 	}
 	if rq.seed == nil {
 		payload, err := release(r.Context(), t)
 		if err != nil {
-			s.writeError(w, r, t.ID, err)
+			s.writeError(w, t.ID, err)
 			return
 		}
 		s.writeJSON(w, http.StatusOK, payload)
@@ -719,7 +687,7 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 	t, err := s.tenant(r.URL.Query().Get("tenant"))
 	if err != nil {
-		s.writeError(w, r, "", err)
+		s.writeError(w, "", err)
 		return
 	}
 	accessFrom(r.Context()).setTenant(t.ID)

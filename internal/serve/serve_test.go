@@ -114,8 +114,9 @@ func getCrossCheck(t *testing.T, base string) []tenantAudit {
 }
 
 // TestTenantIsolation interleaves two tenants with very different
-// budgets: alpha exhausts and starts drawing 429s while beta keeps
-// being served, and both sets of books audit clean at the end.
+// budgets: alpha exhausts and starts drawing final 429s — no
+// Retry-After, code budget_exhausted, since its spends alone refuse
+// every later fit — while beta keeps being served.
 func TestTenantIsolation(t *testing.T) {
 	_, ts := newTestService(t, Config{
 		Tenants: []TenantConfig{
@@ -139,13 +140,7 @@ func TestTenantIsolation(t *testing.T) {
 					t.Fatalf("beta rejected at round %d: %s", i, body)
 				}
 				alphaRejected++
-				if resp.Header.Get("Retry-After") == "" {
-					t.Error("429 without Retry-After header")
-				}
-				var er ErrorResponse
-				if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
-					t.Errorf("429 body not an ErrorResponse: %s", body)
-				}
+				checkFinal429(t, resp, body)
 			default:
 				t.Fatalf("tenant %s round %d: HTTP %d: %s", tenant, i, resp.StatusCode, body)
 			}
@@ -170,18 +165,34 @@ func TestTenantIsolation(t *testing.T) {
 	}
 }
 
-// TestRetryAfterCapsHugeQuote pins the 429 hint for a quote whose
-// burn-rate estimate is far past the int range: the 60 s cap, not a
-// wrapped conversion clamped up to the floor.
+// checkFinal429 asserts a final refusal: a 429 with no Retry-After and
+// an ErrorResponse carrying the code budget_exhausted.
+func checkFinal429(t *testing.T, resp *http.Response, body []byte) {
+	t.Helper()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("HTTP %d, want a final 429: %s", resp.StatusCode, body)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Errorf("final 429 carries Retry-After %q", ra)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil || er.Error == "" || er.Code != "budget_exhausted" {
+		t.Errorf("final 429 body %s, want an ErrorResponse with code budget_exhausted", body)
+	}
+}
+
+// TestRetryAfterCapsHugeQuote pins the refusal of a quote far past any
+// budget: the spends alone refuse 1e300 ε, so the handler answers a
+// final 429.
 func TestRetryAfterCapsHugeQuote(t *testing.T) {
-	s, _ := newTestService(t, Config{
+	s, ts := newTestService(t, Config{
 		Tenants: []TenantConfig{{ID: "solo", Budget: mechanism.Guarantee{Epsilon: 1}}},
 	})
 	tn, _ := s.Tenants().Get("solo")
 	tn.Acct.Spend(mechanism.Guarantee{Epsilon: 0.5})
-	if got := s.retryAfter("solo", 1e300); got != 60 {
-		t.Fatalf("Retry-After for quote 1e300 = %d, want the 60 s cap", got)
-	}
+	resp, body := postJSON(t, ts.URL+"/v1/summary", SummaryRequest{Tenant: "solo", Seed: 1, Feature: 0, Lo: -1, Hi: 1,
+		Quantiles: []float64{0.5}, Epsilon: 1e300, Data: testData(11, 24, 2)})
+	checkFinal429(t, resp, body)
 }
 
 // TestTenantIsolationBooks re-runs a short interleaved load against
@@ -430,21 +441,6 @@ func TestParseTenantBudgets(t *testing.T) {
 		if _, err := ParseTenantBudgets(bad, core.DegradeRefuse); err == nil {
 			t.Errorf("ParseTenantBudgets(%q) accepted", bad)
 		}
-	}
-}
-
-// TestPercentile pins the nearest-rank convention.
-func TestPercentile(t *testing.T) {
-	samples := []float64{5, 1, 4, 2, 3}
-	for _, tc := range []struct{ p, want float64 }{{50, 3}, {95, 5}, {99, 5}, {20, 1}, {100, 5}} {
-		got := Percentile(samples, tc.p)
-		//dplint:ignore floateq nearest-rank percentile returns an exact sample element
-		if got != tc.want {
-			t.Errorf("Percentile(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-	if got := Percentile(nil, 50); got == got { //dplint:ignore floateq NaN is the documented empty-input result
-		t.Errorf("Percentile(nil) = %v, want NaN", got)
 	}
 }
 

@@ -104,8 +104,7 @@ func (t *Tenant) CrossCheck(quiescent bool) (witness string, inFlight int, err e
 // burn-rate gauge: composed ε per logical tick since boot. Ticks — not
 // wall time — keep the gauge a pure function of the request history
 // (the clock read itself is part of that history, identically placed
-// in every run), so /metrics stays goldenable; the wall-clock burn
-// estimate lives only in the 429 Retry-After header.
+// in every run), so /metrics stays goldenable.
 func (t *Tenant) refreshSpent() {
 	g := t.Acct.BasicComposition()
 	t.spent.Set(g.Epsilon)

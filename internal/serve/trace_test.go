@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/mechanism"
 	"repro/internal/obs"
+	"repro/internal/serve/client"
 )
 
 // postTraced is postJSON with a W3C traceparent header attached.
@@ -40,29 +43,69 @@ func postTraced(t *testing.T, url string, tc obs.TraceContext, body any) (*http.
 	return resp, out
 }
 
-// TestTraceLedgerAccessJoin is the end-to-end join contract: every
-// traced 2xx request's committed ε charges land in the ledger under
-// exactly its trace id, the access log's spent_epsilon equals the
-// canonical composition of those charges bit for bit, per-tenant spent ε
-// grouped by trace recomposes to the Accountant's total bit for bit, and
-// the span tree reconstructs under the same trace ids.
-func TestTraceLedgerAccessJoin(t *testing.T) {
+// tracedService builds a service whose observer traces under a logical
+// clock into traceBuf and whose access log writes to accessBuf.
+func tracedService(t *testing.T, cfg Config, traceBuf, accessBuf *bytes.Buffer) (*Server, *httptest.Server) {
+	t.Helper()
 	clock := &obs.LogicalClock{}
-	var traceBuf, accessBuf bytes.Buffer
-	o := &obs.Observer{
-		Tracer:  obs.NewTracer(&traceBuf, clock),
+	cfg.Observer = &obs.Observer{
+		Tracer:  obs.NewTracer(traceBuf, clock),
 		Metrics: obs.NewRegistry(),
 		Clock:   clock,
 	}
-	s, ts := newTestService(t, Config{
+	cfg.AccessLog = obs.NewAccessLog(accessBuf)
+	return newTestService(t, cfg)
+}
+
+// checkJoin reads the trace and access buffers back, runs the shared
+// join check on them, fails the test on each violation, and returns the
+// joined data and the report. Every spend the test made was traced, so
+// each tenant's joined charges must recompose to its accountant's
+// count and total bit for bit, and its books must audit clean.
+func checkJoin(t *testing.T, s *Server, traceBuf, accessBuf *bytes.Buffer) (obs.TraceData, obs.JoinReport) {
+	t.Helper()
+	data, err := obs.ReadTraceNDJSON(traceBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	access, err := obs.ReadTraceNDJSON(accessBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data.Merge(access)
+	rep := obs.CheckJoin(&data)
+	for _, v := range rep.Violations {
+		t.Errorf("join check: %s", v)
+	}
+	joined := map[string]obs.TenantCharges{}
+	for _, tc := range rep.Tenants {
+		joined[tc.Tenant] = tc
+	}
+	for _, tn := range s.Tenants().Tenants() {
+		tc, g := joined[tn.ID], tn.Acct.BasicComposition()
+		//dplint:ignore floateq bit-exact trace-grouped-vs-accountant agreement is the property under test
+		if tc.Charges != tn.Acct.Count() || tc.Epsilon != g.Epsilon || tc.Delta != g.Delta {
+			t.Errorf("tenant %s: %d joined charge(s) compose to (%.17g, %.17g), the accountant holds %d at (%.17g, %.17g)",
+				tn.ID, tc.Charges, tc.Epsilon, tc.Delta, tn.Acct.Count(), g.Epsilon, g.Delta)
+		}
+		checkBooks(t, tn)
+	}
+	return data, rep
+}
+
+// TestTraceLedgerAccessJoin is the end-to-end join contract: a traced
+// run over every endpoint, a refusal included, passes the shared join
+// check (obs.CheckJoin) attempt by attempt, and each tenant's joined
+// charges recompose to its accountant.
+func TestTraceLedgerAccessJoin(t *testing.T) {
+	var traceBuf, accessBuf bytes.Buffer
+	s, ts := tracedService(t, Config{
 		Tenants: []TenantConfig{
 			{ID: "alpha", Budget: mechanism.Guarantee{Epsilon: 5}},
 			{ID: "beta", Budget: mechanism.Guarantee{Epsilon: 0.6}},
 		},
-		Learner:   LearnerSpec{Epsilon: 0.4},
-		Observer:  o,
-		AccessLog: obs.NewAccessLog(&accessBuf),
-	})
+		Learner: LearnerSpec{Epsilon: 0.4},
+	}, &traceBuf, &accessBuf)
 	data := testData(42, 16, 2)
 
 	steps := []struct {
@@ -86,137 +129,144 @@ func TestTraceLedgerAccessJoin(t *testing.T) {
 		// beta's second 0.4-fit busts its 0.6 budget: a traced 429.
 		{"/v1/fit", 108, FitRequest{Tenant: "beta", Seed: 7, Data: data}, http.StatusTooManyRequests},
 	}
-	wantTrace := map[string]obs.TraceContext{}
 	for i, st := range steps {
-		tc := obs.DeriveTraceContext(st.seed)
-		wantTrace[tc.TraceID()] = tc
-		resp, body := postTraced(t, ts.URL+st.path, tc, st.body)
+		resp, body := postTraced(t, ts.URL+st.path, obs.DeriveTraceContext(st.seed), st.body)
 		if resp.StatusCode != st.want {
 			t.Fatalf("step %d (%s): HTTP %d, want %d: %s", i, st.path, resp.StatusCode, st.want, body)
 		}
 	}
+	if _, rep := checkJoin(t, s, &traceBuf, &accessBuf); rep.Attempts != len(steps) || rep.Traces != len(steps) {
+		t.Errorf("join check saw %d attempt(s) across %d trace(s), want %d across %d", rep.Attempts, rep.Traces, len(steps), len(steps))
+	}
+}
 
-	trace, err := obs.ReadTraceNDJSON(&traceBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	access, err := obs.ReadTraceNDJSON(&accessBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace.Merge(access)
-	if got, want := len(trace.Access), len(steps); got != want {
-		t.Fatalf("access log has %d records, want %d", got, want)
-	}
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
 
-	// Group ledger charges by trace id; every charge must carry one, and
-	// it must be a trace we issued.
-	ledgerByTrace := map[string][]obs.LedgerRecord{}
-	for _, lr := range trace.Ledger {
-		if lr.Trace == "" {
-			t.Fatalf("ledger seq %d committed without a trace id", lr.Seq)
-		}
-		if _, ok := wantTrace[lr.Trace]; !ok {
-			t.Fatalf("ledger seq %d carries unknown trace %s", lr.Seq, lr.Trace)
-		}
-		ledgerByTrace[lr.Trace] = append(ledgerByTrace[lr.Trace], lr)
-	}
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
-	// Each 2xx access record's spent ε must equal the canonical
-	// composition of its trace's ledger charges, bit for bit; refused
-	// requests must have charged nothing.
-	accessByTrace := map[string]obs.AccessRecord{}
-	for _, ar := range trace.Access {
-		if _, dup := accessByTrace[ar.Trace]; dup {
-			t.Fatalf("trace %s appears on two access records", ar.Trace)
+// TestRealClientRetriesOnlyTransient429 drives a traced tenant with
+// the retry client. A 429 that an outstanding hold causes carries
+// Retry-After, and the client retries it under the same traceparent
+// into a commit once the hold is gone; a 429 the spends alone cause is
+// final and takes exactly one attempt. The multi-attempt trace passes
+// the shared join check.
+func TestRealClientRetriesOnlyTransient429(t *testing.T) {
+	var traceBuf, accessBuf bytes.Buffer
+	s, ts := tracedService(t, Config{
+		Tenants: []TenantConfig{{ID: "solo", Budget: mechanism.Guarantee{Epsilon: 1}}},
+	}, &traceBuf, &accessBuf)
+	data := testData(21, 24, 2)
+	summary := func(seed int64, eps float64) []byte {
+		b, err := json.Marshal(SummaryRequest{Tenant: "solo", Seed: seed, Feature: 0, Lo: -1, Hi: 1,
+			Quantiles: []float64{0.5}, Epsilon: eps, Data: data})
+		if err != nil {
+			t.Fatal(err)
 		}
-		accessByTrace[ar.Trace] = ar
-		charges := ledgerByTrace[ar.Trace]
-		eps := make([]float64, len(charges))
-		del := make([]float64, len(charges))
-		for i, lr := range charges {
-			eps[i], del[i] = lr.Epsilon, lr.Delta
-		}
-		composed, _ := obs.ComposeBasic(eps, del)
-		switch {
-		case ar.Status == http.StatusOK && ar.Outcome == "committed":
-			//dplint:ignore floateq bit-exact access-log-vs-ledger agreement is the property under test
-			if composed != ar.SpentEpsilon {
-				t.Errorf("trace %s: access says spent=%.17g, ledger composes to %.17g", ar.Trace, ar.SpentEpsilon, composed)
-			}
-			if len(charges) == 0 {
-				t.Errorf("trace %s: committed but no ledger charges", ar.Trace)
-			}
-		case ar.Outcome == "refused", ar.Outcome == "free":
-			if len(charges) != 0 {
-				t.Errorf("trace %s: outcome %s but %d ledger charge(s)", ar.Trace, ar.Outcome, len(charges))
-			}
-			//dplint:ignore floateq an uncharged request must report the exact zero
-			if ar.SpentEpsilon != 0 {
-				t.Errorf("trace %s: outcome %s but spent=%.17g", ar.Trace, ar.Outcome, ar.SpentEpsilon)
-			}
-		}
+		return b
 	}
 
-	// Per-tenant: the trace-grouped charges recompose to the Accountant's
-	// canonical total bit for bit (every spend in this run was traced).
-	for _, tn := range s.Tenants().Tenants() {
-		var eps, del []float64
-		for trID, charges := range ledgerByTrace {
-			if accessByTrace[trID].Tenant != tn.ID {
-				continue
+	// The first 429 the client reads lets the parked hold go and waits
+	// for it to be released, so the retry meets a budget it fits.
+	entered, release, parkedDone := make(chan struct{}), make(chan struct{}), make(chan int, 1)
+	letGo := sync.OnceFunc(func() { close(release) })
+	defer letGo() // a failed test must not leave the handler parked
+	var firstRefusal sync.Once
+	var retryAfter string
+	rc := client.New(client.Config{
+		BaseURL: ts.URL,
+		HTTP: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			resp, err := http.DefaultTransport.RoundTrip(r)
+			if err == nil && resp.StatusCode == http.StatusTooManyRequests {
+				firstRefusal.Do(func() {
+					retryAfter = resp.Header.Get("Retry-After")
+					letGo()
+					if code := <-parkedDone; code != http.StatusInternalServerError {
+						t.Errorf("abandoned release: HTTP %d, want 500", code)
+					}
+				})
 			}
-			for _, lr := range charges {
-				eps = append(eps, lr.Epsilon)
-				del = append(del, lr.Delta)
-			}
+			return resp, err
+		})},
+		MaxAttempts:   3,
+		BaseBackoff:   time.Millisecond,
+		MaxBackoff:    5 * time.Millisecond,
+		MaxRetryAfter: 5 * time.Millisecond,
+		Seed:          1,
+	})
+	post := func(seed int64, eps float64) *client.Result {
+		t.Helper()
+		tc := obs.DeriveTraceContext(seed)
+		res, err := rc.PostRaw(context.Background(), "/v1/summary", summary(seed, eps), "",
+			http.Header{"Traceparent": []string{tc.Traceparent()}})
+		if err != nil {
+			t.Fatalf("summary seed %d: %v", seed, err)
 		}
-		ce, cd := obs.ComposeBasic(eps, del)
-		g := tn.Acct.BasicComposition()
-		//dplint:ignore floateq bit-exact trace-grouped-vs-accountant agreement is the property under test
-		if ce != g.Epsilon || cd != g.Delta {
-			t.Errorf("tenant %s: trace-grouped charges compose to (%.17g, %.17g), accountant to (%.17g, %.17g)",
-				tn.ID, ce, cd, g.Epsilon, g.Delta)
-		}
-		checkBooks(t, tn)
+		return res
 	}
 
-	// Span tree: every 2xx spending request reconstructs a root request
-	// span with at least one child under its trace id, and each ledger
-	// charge's span id names a span in the same trace.
-	spansByTrace := map[string]map[uint64]obs.SpanRecord{}
-	childCount := map[string]int{}
-	for _, sp := range trace.Spans {
-		if sp.Trace == "" {
-			continue
-		}
-		if spansByTrace[sp.Trace] == nil {
-			spansByTrace[sp.Trace] = map[uint64]obs.SpanRecord{}
-		}
-		spansByTrace[sp.Trace][sp.ID] = sp
-		if sp.Parent != 0 {
-			childCount[sp.Trace]++
+	if res := post(1, 0.5); res.Status != http.StatusOK || res.Attempts != 1 {
+		t.Fatalf("first summary: HTTP %d after %d attempt(s)", res.Status, res.Attempts)
+	}
+	// Park an untraced 0.3 hold in flight; it panics once let go, so its
+	// hold is released and nothing is charged.
+	var once sync.Once
+	s.testHookInFlight = func(string) {
+		parked := false
+		once.Do(func() {
+			close(entered)
+			<-release
+			parked = true
+		})
+		if parked {
+			panic("abandon the parked release")
 		}
 	}
-	for trID, ar := range accessByTrace {
-		if ar.Status != http.StatusOK {
-			continue
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/summary", "application/json", bytes.NewReader(summary(2, 0.3)))
+		if err != nil {
+			t.Errorf("parked summary: %v", err)
+			parkedDone <- 0
+			return
 		}
-		if len(spansByTrace[trID]) == 0 {
-			t.Errorf("trace %s: 2xx request left no spans", trID)
-		}
-		if ar.Outcome == "committed" && childCount[trID] == 0 {
-			t.Errorf("trace %s: committed request has no child spans", trID)
+		resp.Body.Close()
+		parkedDone <- resp.StatusCode
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked summary never reached its in-flight point")
+	}
+	// 0.5 spent + 0.3 held + 0.3 is over the budget, 0.5 + 0.3 is not:
+	// the refusal is transient, and the retry commits.
+	if res := post(3, 0.3); res.Status != http.StatusOK || res.Attempts != 2 {
+		t.Fatalf("summary under the hold: HTTP %d after %d attempt(s), want a 200 on attempt 2", res.Status, res.Attempts)
+	}
+	if retryAfter == "" {
+		t.Error("the 429 under a hold carries no Retry-After")
+	}
+	// 0.8 spent + 0.3 is over the budget: final, one attempt.
+	res := post(4, 0.3)
+	if res.Status != http.StatusTooManyRequests || res.Attempts != 1 {
+		t.Fatalf("summary past the spent budget: HTTP %d after %d attempt(s), want one final 429", res.Status, res.Attempts)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(res.Body, &er); err != nil || er.Code != "budget_exhausted" {
+		t.Errorf("final 429 body %s, want code budget_exhausted", res.Body)
+	}
+
+	joined, rep := checkJoin(t, s, &traceBuf, &accessBuf)
+	if rep.Attempts != 4 || rep.Traces != 3 {
+		t.Errorf("join check saw %d attempt(s) across %d trace(s), want 4 across 3", rep.Attempts, rep.Traces)
+	}
+	var retried []obs.AccessRecord
+	for _, ar := range joined.Access {
+		if ar.Trace == obs.DeriveTraceContext(3).TraceID() {
+			retried = append(retried, ar)
 		}
 	}
-	for _, lr := range trace.Ledger {
-		if lr.Span == 0 {
-			t.Errorf("ledger seq %d (trace %s) has no span id", lr.Seq, lr.Trace)
-			continue
-		}
-		if _, ok := spansByTrace[lr.Trace][lr.Span]; !ok {
-			t.Errorf("ledger seq %d names span %d, absent from trace %s", lr.Seq, lr.Span, lr.Trace)
-		}
+	if len(retried) != 2 || retried[0].Outcome != "refused" || retried[1].Outcome != "committed" || retried[0].Span == retried[1].Span {
+		t.Errorf("retried trace's attempts %+v, want a refused then a committed one on two request spans", retried)
 	}
 }
 

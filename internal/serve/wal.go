@@ -231,7 +231,7 @@ func (s *Server) durable(w http.ResponseWriter, r *http.Request, t *Tenant, endp
 		ai.setIdemKey(key)
 		out, replay, err := t.idem.claim(key)
 		if err != nil {
-			s.writeError(w, r, t.ID, err)
+			s.writeError(w, t.ID, err)
 			return
 		}
 		if replay {
@@ -256,14 +256,14 @@ func (s *Server) durable(w http.ResponseWriter, r *http.Request, t *Tenant, endp
 func (s *Server) serveDurable(w http.ResponseWriter, r *http.Request, t *Tenant, endpoint string, seed int64, quoted float64, key string, body func(ctx context.Context, t *Tenant) (any, error)) {
 	tx, err := t.wal.Begin(wal.Intent{Endpoint: endpoint, Key: key, Seed: seed, Epsilon: quoted})
 	if err != nil {
-		s.writeError(w, r, t.ID, err)
+		s.writeError(w, t.ID, err)
 		return
 	}
 	defer tx.Release()
 	s.crash(faults.WALCrashPreRelease, int(seed), t)
 	payload, err := body(r.Context(), t)
 	if err != nil {
-		s.writeError(w, r, t.ID, err)
+		s.writeError(w, t.ID, err)
 		return
 	}
 	var buf bytes.Buffer
@@ -281,7 +281,7 @@ func (s *Server) serveDurable(w http.ResponseWriter, r *http.Request, t *Tenant,
 		// not escape without its durable commit; 5xx and let the client
 		// retry under its key. The in-memory charge stands — conservative
 		// over-counting until restart, never under-counting.
-		s.writeError(w, r, t.ID, err)
+		s.writeError(w, t.ID, err)
 		return
 	}
 	s.crash(faults.WALCrashPostCommit, int(seed), t)

@@ -254,9 +254,12 @@ func budgetStatus(t *Tenant) BudgetStatus {
 	}
 }
 
-// ErrorResponse is the uniform error payload.
+// ErrorResponse is the uniform error payload. Code is
+// "budget_exhausted" on a final 429: the tenant's committed spends
+// alone refuse the request, so no retry can succeed.
 type ErrorResponse struct {
 	Error string `json:"error"`
+	Code  string `json:"code,omitempty"`
 }
 
 // validEpsilon rejects non-finite or non-positive request budgets
