@@ -142,11 +142,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable benchmark artifacts: runs the parallel-engine,
-# mechanism, linter and risk-grid benchmark suites and writes
-# BENCH_parallel.json, BENCH_mechanism.json, BENCH_lint.json and
-# BENCH_learn.json (CI uploads them). Each benchmark runs for a time
-# budget, not one iteration: a single iteration reads cold caches and
-# first-call allocations, so its numbers cannot show a regression.
+# mechanism, linter, risk-grid and WAL-recovery benchmark suites and
+# writes BENCH_parallel.json, BENCH_mechanism.json, BENCH_lint.json,
+# BENCH_learn.json and BENCH_wal.json (CI uploads them). Each benchmark
+# runs for a time budget, not one iteration: a single iteration reads
+# cold caches and first-call allocations, so its numbers cannot show a
+# regression.
 # Override BENCHTIME for longer measurements, e.g.
 # `make bench-json BENCHTIME=2s`.
 BENCHTIME ?= 200ms

@@ -2,8 +2,8 @@
 // writes machine-readable BENCH_<name>.json artifacts (parsed from the
 // standard `go test -bench` text by internal/obs.ParseBench). CI uploads
 // the artifacts so the perf trajectory of the deterministic parallel
-// engine, the mechanism family and the risk grid is diffable across
-// commits.
+// engine, the mechanism family, the risk grid and WAL recovery is
+// diffable across commits.
 //
 // Usage:
 //
@@ -15,6 +15,7 @@
 //	mechanism → ./internal/mechanism → BENCH_mechanism.json
 //	lint      → ./internal/analysis  → BENCH_lint.json
 //	learn     → ./internal/learn     → BENCH_learn.json
+//	wal       → ./internal/wal       → BENCH_wal.json
 //
 // -timeout bounds the whole run; ^C or the deadline kills the in-flight
 // `go test` child, no partial artifact is written for the interrupted
@@ -41,10 +42,11 @@ var suites = map[string]string{
 	"mechanism": "./internal/mechanism",
 	"lint":      "./internal/analysis",
 	"learn":     "./internal/learn",
+	"wal":       "./internal/wal",
 }
 
 // suiteOrder fixes the run order (map iteration is randomized).
-var suiteOrder = []string{"parallel", "mechanism", "lint", "learn"}
+var suiteOrder = []string{"parallel", "mechanism", "lint", "learn", "wal"}
 
 func main() {
 	outDir := flag.String("out", ".", "directory for the BENCH_<suite>.json artifacts")

@@ -72,12 +72,13 @@ func Open(path string, resume bool) (*Log, error) {
 	}
 	l := &Log{f: f, done: make(map[key]json.RawMessage)}
 	if resume {
-		err := ScanRepair(f, func(line []byte) {
+		err := ScanRepair(f, func(line []byte) error {
 			var e entry
 			if json.Unmarshal(line, &e) != nil {
-				return // torn tail or corruption: recompute that cell
+				return nil // torn tail or corruption: recompute that cell
 			}
 			l.done[key{cell: e.Cell, seed: e.Seed}] = e.Result
+			return nil
 		})
 		if err != nil {
 			_ = f.Close() // the read/seek/repair error supersedes
@@ -92,13 +93,16 @@ func Open(path string, resume bool) (*Log, error) {
 // parse — a torn tail or corruption), then leaves the offset at EOF so
 // appends follow the survivors, and terminates a torn final line so the
 // next append starts fresh instead of concatenating onto the partial
-// bytes. The line slice is only valid during the call. Package wal
-// reopens its write-ahead log the same way.
-func ScanRepair(f *os.File, line func([]byte)) error {
+// bytes. The line slice is only valid during the call. An error from
+// line ends the scan at once, before any repair, and is returned as is.
+// Package wal reopens its write-ahead log the same way.
+func ScanRepair(f *os.File, line func([]byte) error) error {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	for sc.Scan() {
-		line(sc.Bytes())
+		if err := line(sc.Bytes()); err != nil {
+			return err
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("read: %w", err)

@@ -199,8 +199,9 @@ func EmpiricalRisk(l Loss, theta []float64, d *dataset.Dataset) float64 {
 // zeroOneRisk is EmpiricalRisk of ZeroOneLoss, bit for bit, as a count
 // of mistakes. Every partial Kahan sum of 0/1 terms is an integer below
 // 2⁵³, so each Add is exact, the compensation stays 0 and the sum is the
-// count. The inner loop is mathx.Dot inlined, so the sign test reads the
-// same compensated dot bits as ZeroOneLoss.Loss, ties and NaN included.
+// count. The inner loop is mathx.Dot inlined, product rounding included,
+// so the sign test reads the same compensated dot bits as
+// ZeroOneLoss.Loss, ties and NaN included.
 func zeroOneRisk(theta []float64, d *dataset.Dataset) float64 {
 	m := 0
 	for _, e := range d.Examples {
@@ -209,7 +210,7 @@ func zeroOneRisk(theta []float64, d *dataset.Dataset) float64 {
 		}
 		var k mathx.KahanSum
 		for j := range theta {
-			k.Add(theta[j] * e.X[j])
+			k.Add(float64(theta[j] * e.X[j]))
 		}
 		if !(k.Sum()*e.Y > 0) {
 			m++

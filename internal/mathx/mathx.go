@@ -422,14 +422,16 @@ func ArgMin(xs []float64) int {
 }
 
 // Dot returns the inner product of equal-length slices a and b. It panics
-// on a length mismatch.
+// on a length mismatch. Each product is rounded before it is summed (the
+// explicit float64 conversion), so a CPU that fuses a multiply with an
+// add computes the same bits as one that does not.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("mathx: Dot length mismatch")
 	}
 	var k KahanSum
 	for i := range a {
-		k.Add(a[i] * b[i])
+		k.Add(float64(a[i] * b[i]))
 	}
 	return k.Sum()
 }

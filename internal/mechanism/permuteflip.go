@@ -46,10 +46,21 @@ func NewPermuteAndFlip(quality func(*dataset.Dataset, int) float64, numCandidate
 
 // Release selects one candidate index.
 func (m *PermuteAndFlip) Release(d *dataset.Dataset, g *rng.RNG) int {
+	return m.flip(m.scores(d), g)
+}
+
+// scores evaluates every candidate's quality on d.
+func (m *PermuteAndFlip) scores(d *dataset.Dataset) []float64 {
 	scores := make([]float64, m.NumCandidates)
 	for u := range scores {
 		scores[u] = m.Quality(d, u)
 	}
+	return scores
+}
+
+// flip is the draw of Release over the candidates' scores: permute,
+// then flip each candidate's coin until one accepts.
+func (m *PermuteAndFlip) flip(scores []float64, g *rng.RNG) int {
 	qStar := scores[mathx.ArgMax(scores)]
 	for {
 		perm := g.Perm(m.NumCandidates)
@@ -82,10 +93,7 @@ func (m *PermuteAndFlip) LogProbabilities(d *dataset.Dataset) []float64 {
 	if k > 20 {
 		panic("mechanism: PermuteAndFlip.LogProbabilities limited to 20 candidates")
 	}
-	scores := make([]float64, k)
-	for u := range scores {
-		scores[u] = m.Quality(d, u)
-	}
+	scores := m.scores(d)
 	qStar := scores[mathx.ArgMax(scores)]
 	accept := make([]float64, k) // acceptance probabilities p_u
 	fail := make([]float64, k)   // 1 − p_u

@@ -6,8 +6,9 @@ package mechanism
 // log-likelihood ratio of every well-populated outcome bin stays within
 // the advertised ε plus a Chernoff-style sampling slack. This is the
 // sampled-path complement of the exact distribution audits in
-// internal/audit: it exercises Release (the code users actually call),
-// not LogProbabilities.
+// internal/audit: it exercises Release's draw (the code users actually
+// call), not LogProbabilities. The selection batteries draw from scores
+// computed once, after checking that draw against Release itself.
 //
 // The slack per bin is 3·sqrt(1/c1 + 1/c2) — three standard deviations
 // of the empirical log-ratio of two independent binomial proportions
@@ -75,6 +76,21 @@ func checkEmpiricalDP(t *testing.T, eps float64, c1, c2 map[int]int, n1, n2 int)
 	}
 }
 
+// sameDraws asserts that scored, a draw from scores computed once, is
+// release's draw: the first 1,000 outcomes of one seed agree. The
+// batteries below then sample scored, because release re-scores every
+// candidate over the dataset on each of its statSamples draws although
+// the scores never change.
+func sameDraws(t *testing.T, release, scored func(g *rng.RNG) int, seed int64) {
+	t.Helper()
+	gr, gs := rng.New(seed), rng.New(seed)
+	for i := 0; i < 1000; i++ {
+		if r, s := release(gr), scored(gs); r != s {
+			t.Fatalf("draw %d of seed %d: Release gave %d, the precomputed scores %d", i, seed, r, s)
+		}
+	}
+}
+
 // sampleHist draws statSamples outcomes from draw and histograms them.
 func sampleHist(draw func(g *rng.RNG) int, g *rng.RNG) map[int]int {
 	h := make(map[int]int)
@@ -138,9 +154,15 @@ func TestExponentialEmpiricalDP(t *testing.T) {
 			if got := m.Guarantee().Epsilon; math.Abs(got-eps) > 1e-12 {
 				t.Fatalf("guarantee %.6f, want %.6f", got, eps)
 			}
-			draw := func(d *dataset.Dataset) func(g *rng.RNG) int {
+			release := func(d *dataset.Dataset) func(g *rng.RNG) int {
 				return func(g *rng.RNG) int { return m.Release(d, g) }
 			}
+			draw := func(d *dataset.Dataset) func(g *rng.RNG) int {
+				w := m.LogWeights(d)
+				return func(g *rng.RNG) int { return g.CategoricalLog(w) }
+			}
+			sameDraws(t, release(d1), draw(d1), 303)
+			sameDraws(t, release(d2), draw(d2), 404)
 			c1 := sampleHist(draw(d1), rng.New(303))
 			c2 := sampleHist(draw(d2), rng.New(404))
 			checkEmpiricalDP(t, eps, c1, c2, statSamples, statSamples)
@@ -162,9 +184,15 @@ func TestPermuteAndFlipEmpiricalDP(t *testing.T) {
 			if got := m.Guarantee().Epsilon; math.Abs(got-eps) > 1e-12 {
 				t.Fatalf("guarantee %.6f, want %.6f", got, eps)
 			}
-			draw := func(d *dataset.Dataset) func(g *rng.RNG) int {
+			release := func(d *dataset.Dataset) func(g *rng.RNG) int {
 				return func(g *rng.RNG) int { return m.Release(d, g) }
 			}
+			draw := func(d *dataset.Dataset) func(g *rng.RNG) int {
+				scores := m.scores(d)
+				return func(g *rng.RNG) int { return m.flip(scores, g) }
+			}
+			sameDraws(t, release(d1), draw(d1), 505)
+			sameDraws(t, release(d2), draw(d2), 606)
 			c1 := sampleHist(draw(d1), rng.New(505))
 			c2 := sampleHist(draw(d2), rng.New(606))
 			checkEmpiricalDP(t, eps, c1, c2, statSamples, statSamples)

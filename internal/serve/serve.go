@@ -138,13 +138,8 @@ func New(cfg Config) (*Server, error) {
 		// rebuild its accountant bit-identically (audited against the
 		// log's books), restore idempotency outcomes. A tenant whose
 		// books cannot be audited fails the boot.
-		for _, t := range reg.Tenants() {
-			rep, err := s.attachWAL(t, cfg.WALDir)
-			if err != nil {
-				return nil, err
-			}
-			s.recovery = append(s.recovery, rep)
-			t.refreshSpent()
+		if err := s.recoverWALs(reg.Tenants()); err != nil {
+			return nil, err
 		}
 	}
 	mreg := s.obs.Reg()

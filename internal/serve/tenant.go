@@ -321,7 +321,13 @@ func (s *Server) ReloadTenants(cfgs []TenantConfig) (added, raised int, err erro
 				continue
 			}
 			if s.cfg.WALDir != "" {
-				rep, werr := s.attachWAL(nt, s.cfg.WALDir)
+				l, st, werr := recoverWAL(nt.ID, s.cfg.WALDir)
+				var rep RecoveryReport
+				if werr == nil {
+					if rep, werr = s.attachWAL(nt, l, st); werr != nil {
+						_ = l.Close() // the audit error supersedes
+					}
+				}
 				if werr != nil {
 					errs = append(errs, werr.Error())
 					continue
@@ -329,6 +335,7 @@ func (s *Server) ReloadTenants(cfgs []TenantConfig) (added, raised int, err erro
 				s.recovery = append(s.recovery, rep)
 			}
 			if aerr := s.reg.add(nt); aerr != nil {
+				_ = nt.wal.Close() // the tenant is dropped; the duplicate error supersedes
 				errs = append(errs, aerr.Error())
 				continue
 			}

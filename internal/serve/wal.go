@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/mechanism"
+	"repro/internal/parallel"
 	"repro/internal/wal"
 )
 
@@ -96,46 +97,83 @@ type RecoveryReport struct {
 	// RestoredKeys is the number of idempotency outcomes restored.
 	RestoredKeys int `json:"restored_keys"`
 	// Epsilon and Delta are the recovered canonical composition —
-	// audited bit for bit against the log's books, which Open seeds
-	// from the same commit records, before the server accepts traffic.
+	// audited bit for bit against the log's books, which recovery
+	// books from the same commit records, before the server accepts
+	// traffic.
 	Epsilon float64 `json:"epsilon"`
 	Delta   float64 `json:"delta"`
 }
 
-// attachWAL opens (or creates) the tenant's write-ahead ledger under
-// dir, replays it to rebuild the accountant, and wires the log into the
-// tenant. Replay drives every recovered charge through SpendDetail — the
-// same observer path live commits take — so the trace's ledger lines
-// carry the recovered spends too. The rebuilt accountant must then pass
-// the quiescent audit against the log's books (Tenant.CrossCheck): the
-// same charges, counted by Open as it read them, bit for bit; a
-// mismatch fails the boot, because books that cannot be audited must
-// not serve. Past Open's tail repair recovery writes nothing, so a
-// second replay reaches the same state.
-func (s *Server) attachWAL(t *Tenant, dir string) (RecoveryReport, error) {
-	rep := RecoveryReport{Tenant: t.ID}
-	l, recs, err := wal.Open(filepath.Join(dir, t.ID+".wal"))
+// recoverWAL opens (or creates) the tenant's write-ahead ledger under
+// dir and folds it into its settled state (wal.Recover). It touches
+// nothing of the tenant's, so New recovers every tenant's log at once.
+func recoverWAL(id, dir string) (*wal.Log, *wal.State, error) {
+	l, st, err := wal.Recover(filepath.Join(dir, id+".wal"))
 	if err != nil {
-		return rep, fmt.Errorf("serve: tenant %s: %w", t.ID, err)
+		return nil, nil, fmt.Errorf("serve: tenant %s: %w", id, err)
 	}
-	st := wal.Replay(recs)
-	for _, rec := range st.Commits {
-		for _, ch := range rec.Charges {
-			t.Acct.SpendDetail(mechanism.Guarantee{Epsilon: ch.Epsilon, Delta: ch.Delta}, mechanism.SpendMeta{
-				Mechanism:   ch.Mechanism,
-				Sensitivity: ch.Sensitivity,
-				Outcomes:    ch.Outcomes,
-			})
+	return l, st, nil
+}
+
+// recoverWALs is boot recovery, before any traffic. Every tenant's log
+// is read and folded concurrently, then attached in declaration order,
+// so the accountants, the trace's ledger lines, the order in which the
+// dplearn_wal_* series register and the RecoveryReports are those of a
+// serial boot. A log that cannot be recovered, or books that cannot be
+// audited, fail the boot, and every log it opened is closed.
+func (s *Server) recoverWALs(ts []*Tenant) error {
+	logs := make([]*wal.Log, len(ts))
+	states := make([]*wal.State, len(ts))
+	errs := make([]error, len(ts))
+	err := parallel.ForGrainCtx(context.Background(), len(ts), 1, parallel.Options{}, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			logs[i], states[i], errs[i] = recoverWAL(ts[i].ID, s.cfg.WALDir)
 		}
+	})
+	for i := 0; err == nil && i < len(ts); i++ {
+		err = errs[i]
+	}
+	for i := 0; err == nil && i < len(ts); i++ {
+		var rep RecoveryReport
+		if rep, err = s.attachWAL(ts[i], logs[i], states[i]); err == nil {
+			s.recovery = append(s.recovery, rep)
+			ts[i].refreshSpent()
+		}
+	}
+	if err != nil {
+		for _, l := range logs {
+			_ = l.Close() // the recovery error supersedes
+		}
+	}
+	return err
+}
+
+// attachWAL rebuilds the tenant's accountant from its recovered log and
+// wires the log into the tenant. Every recovered charge goes through
+// SpendDetail — the same observer path live commits take — so the
+// trace's ledger lines carry the recovered spends too. The rebuilt
+// accountant must then pass the quiescent audit against the log's books
+// (Tenant.CrossCheck): the same charges, counted by the log as it read
+// them, bit for bit; a mismatch fails the attach, because books that
+// cannot be audited must not serve, and the caller closes the log.
+// Past the tail repair recovery writes nothing, so a second replay
+// reaches the same state.
+func (s *Server) attachWAL(t *Tenant, l *wal.Log, st *wal.State) (RecoveryReport, error) {
+	rep := RecoveryReport{Tenant: t.ID}
+	for _, ch := range st.Charges() {
+		t.Acct.SpendDetail(mechanism.Guarantee{Epsilon: ch.Epsilon, Delta: ch.Delta}, mechanism.SpendMeta{
+			Mechanism:   ch.Mechanism,
+			Sensitivity: ch.Sensitivity,
+			Outcomes:    ch.Outcomes,
+		})
 	}
 	t.wal = l
 	if _, _, err := t.CrossCheck(true); err != nil {
-		_ = l.Close()
 		return rep, err
 	}
 	t.idem.restore(st.Outcomes)
 	g := t.Acct.BasicComposition()
-	rep.Commits = len(st.Commits)
+	rep.Commits = st.Commits
 	rep.Charges = t.Acct.Count()
 	rep.RestoredKeys = len(st.Outcomes)
 	rep.Epsilon = g.Epsilon

@@ -190,6 +190,57 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWALRecoveryRefusesDecreasingLSN boots two tenants whose second
+// log holds a record with an LSN below its predecessor's, which no
+// writer of the log produces: the boot fails with an error naming that
+// tenant, and the log of the healthy tenant, which recovery opened, is
+// closed again.
+func TestWALRecoveryRefusesDecreasingLSN(t *testing.T) {
+	dir := t.TempDir()
+	commit := func(lsn int, eps float64) string {
+		return fmt.Sprintf(`{"op":"commit","lsn":%d,"endpoint":"summary","epsilon":%g,"status":200,"charges":[{"mechanism":"summary","epsilon":%g}]}`+"\n", lsn, eps, eps)
+	}
+	for id, log := range map[string]string{"alpha": commit(1, 0.3) + commit(2, 0.1), "beta": commit(2, 0.3) + commit(1, 0.1)} {
+		if err := os.WriteFile(filepath.Join(dir, id+".wal"), []byte(log), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tenants := []TenantConfig{{ID: "alpha", Budget: mechanism.Guarantee{Epsilon: 10}}, {ID: "beta", Budget: mechanism.Guarantee{Epsilon: 10}}}
+	s, err := New(Config{Tenants: tenants, Observer: testObserver(), WALDir: dir})
+	if err == nil {
+		s.CloseWALs()
+		t.Fatal("boot on a log whose LSNs decrease succeeded")
+	}
+	if !errors.Is(err, wal.ErrOrder) || !strings.Contains(err.Error(), "tenant beta") {
+		t.Fatalf("boot error %q, want wal.ErrOrder naming tenant beta", err)
+	}
+	if held := heldFiles(t, dir); len(held) != 0 {
+		t.Fatalf("the failed boot left %v open", held)
+	}
+}
+
+// heldFiles lists the files under dir that the process holds open,
+// read from /proc/self/fd (none where that does not exist).
+func heldFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	dir, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Logf("no /proc/self/fd (%v): open files not checked", err)
+		return nil
+	}
+	var held []string
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			held = append(held, target)
+		}
+	}
+	return held
+}
+
 // TestWALCrashChaosEveryBoundary hard-aborts a keyed request at every
 // WAL phase boundary on every spending endpoint, then reboots onto the
 // WAL directory and proves the exactly-once contract: a crash after the

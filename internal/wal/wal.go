@@ -14,11 +14,15 @@
 //     leaked and nothing is charged, whether it was refused, failed or
 //     crashed.
 //
-// Recovery (Replay) charges every commit. Replaying the commit charges
-// through SpendDetail rebuilds an Accountant bit-identically: both
-// sides round the exact sum of the same guarantee multiset with one
-// routine (mathx.ExactSum). The log keeps the same books of its own
-// commits (Committed), the accountant's independent witness.
+// Recovery charges every commit. Recover streams: it reads the log once
+// and folds each surviving record into a State as it is decoded, keeping
+// only the commit count, the charges and the keyed outcomes. Open plus
+// Replay is the same fold over a materialized, LSN-sorted record list,
+// the view for tools and tests. Replaying the commit charges through
+// SpendDetail rebuilds an Accountant bit-identically: both sides round
+// the exact sum of the same guarantee multiset with one routine
+// (mathx.ExactSum). The log keeps the same books of its own commits
+// (Committed), the accountant's independent witness.
 //
 // Commit records double as the durable idempotency store: a commit
 // whose request carried a client Idempotency-Key also stores the
@@ -29,10 +33,11 @@
 // leave a record prefix that the next record would merge into, and
 // after a failed fsync the kernel may drop the dirty pages and report
 // success on the next one. Every later Append and Begin returns that
-// error until the process restarts and Open repairs the tail.
+// error until the process restarts and Recover (or Open) repairs the
+// tail.
 //
 // Logs written before commits carried their intent hold a "reserve"
-// record per request, which a commit names by Ref; Replay reads such a
+// record per request, which a commit names by Ref; recovery reads such a
 // reserve only for the key of the commit that names it.
 package wal
 
@@ -41,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -75,6 +81,12 @@ var ErrFrozen = errors.New("wal: log frozen (simulated crash)")
 // charge is not durable.
 var ErrAppend = errors.New("wal: append failed")
 
+// ErrOrder reports a log in which a surviving record's LSN is below its
+// predecessor's. Append assigns LSNs in file order under the log's lock,
+// and a reopened log resumes from the max, so no writer in this package
+// produces such a log; Recover refuses it rather than reorder it.
+var ErrOrder = errors.New("wal: LSN below its predecessor's")
+
 // Charge is one exact committed guarantee with its ledger metadata —
 // what recovery replays through SpendDetail. Epsilon and Delta carry
 // the mechanism's recomputed guarantee verbatim (a widened fit commits
@@ -92,8 +104,9 @@ type Charge struct {
 // Record is one NDJSON WAL line.
 type Record struct {
 	Op Op `json:"op"`
-	// LSN is the log sequence number: strictly increasing per log, so
-	// recovery replays in arrival order.
+	// LSN is the log sequence number: Append assigns it in file order,
+	// strictly increasing, so recovery folds in arrival order (Recover
+	// refuses a log in which it falls).
 	LSN uint64 `json:"lsn"`
 	// Ref names the reserve record whose intent a commit settles, in
 	// logs written before commits carried their intent.
@@ -150,38 +163,74 @@ type Log struct {
 	onSync   func(error)
 }
 
-// Open opens (creating if needed) the WAL at path and returns the
-// surviving records in LSN order, booking their charges. Torn or
-// corrupt trailing lines — the signature of a killed writer — are
-// skipped, the final torn line is terminated, and the offset is left at
-// EOF so appends follow the survivors (checkpoint.ScanRepair).
-func Open(path string) (*Log, []Record, error) {
+// scan opens (creating if needed) the WAL at path and reads it once:
+// it decodes each line, skips torn or corrupt lines — the signature of a
+// killed writer — and lines that are not records, books each commit's
+// charges and tracks the max LSN. Every surviving record goes to rec in
+// file order; the pointer is only valid during the call. The final torn
+// line is terminated and the offset left at EOF, so appends follow the
+// survivors (checkpoint.ScanRepair). An error from rec ends the scan
+// before any repair, closes the file and is returned.
+func scan(path string, rec func(*Record) error) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: open %s: %w", path, err)
+		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
 	l := &Log{f: f}
-	var recs []Record
-	err = checkpoint.ScanRepair(f, func(line []byte) {
-		var rec Record
-		if json.Unmarshal(line, &rec) != nil {
-			return // torn tail or corruption: the record never became durable
+	var r Record
+	err = checkpoint.ScanRepair(f, func(line []byte) error {
+		r = Record{}
+		if json.Unmarshal(line, &r) != nil {
+			return nil // torn tail or corruption: the record never became durable
 		}
-		if rec.Op == "" || rec.LSN == 0 {
-			return // structurally valid JSON that is not a WAL record
+		if r.Op == "" || r.LSN == 0 {
+			return nil // structurally valid JSON that is not a WAL record
 		}
-		recs = append(recs, rec)
-		l.book(rec)
-		if rec.LSN > l.lsn {
-			l.lsn = rec.LSN
-		}
+		l.book(&r)
+		l.lsn = max(l.lsn, r.LSN)
+		return rec(&r)
 	})
 	if err != nil {
-		_ = f.Close() // the read/seek/repair error supersedes
-		return nil, nil, fmt.Errorf("wal: %s: %w", path, err)
+		_ = f.Close() // the read/seek/repair or fold error supersedes
+		return nil, fmt.Errorf("wal: %s: %w", path, err)
+	}
+	return l, nil
+}
+
+// Open opens the WAL at path as scan does and returns the surviving
+// records in LSN order, booking their charges.
+func Open(path string) (*Log, []Record, error) {
+	var recs []Record
+	l, err := scan(path, func(rec *Record) error {
+		recs = append(recs, *rec)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].LSN < recs[j].LSN })
 	return l, recs, nil
+}
+
+// Recover opens the WAL at path as scan does and folds each surviving
+// record into the settled State as it is read, so recovery holds no
+// record list: the result equals Replay of Open's records. A record
+// whose LSN is below its predecessor's fails Recover with ErrOrder.
+func Recover(path string) (*Log, *State, error) {
+	st := newState()
+	var last uint64
+	l, err := scan(path, func(rec *Record) error {
+		if rec.LSN < last {
+			return fmt.Errorf("%w: LSN %d follows %d", ErrOrder, rec.LSN, last)
+		}
+		last = rec.LSN
+		st.fold(rec)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return l, st, nil
 }
 
 // SetHooks installs the append/fsync observers (either may be nil).
@@ -224,8 +273,8 @@ func (l *Log) sticky() error {
 }
 
 // book adds a commit record's charges to the books. The caller holds
-// mu, or owns the log as Open does.
-func (l *Log) book(rec Record) {
+// mu, or owns the log as scan does.
+func (l *Log) book(rec *Record) {
 	if rec.Op != OpCommit {
 		return
 	}
@@ -282,7 +331,7 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	if err != nil {
 		return 0, l.poison(fmt.Errorf("%w: fsync: %w", ErrAppend, err))
 	}
-	l.book(rec)
+	l.book(&rec)
 	return rec.LSN, nil
 }
 
@@ -410,52 +459,69 @@ type ReplayOutcome struct {
 	Response []byte
 }
 
-// State is the settled view of one WAL after Replay: what recovery
-// charges and which responses it can replay.
+// State is the settled view of one WAL: what recovery charges and which
+// responses it can replay.
 type State struct {
-	// Commits are the commit records in LSN order; their Charges are the
-	// exact guarantee multiset the rebuilt accountant must compose.
-	Commits []Record
+	// Commits is the number of commit records folded.
+	Commits int
 	// Outcomes restores the idempotency store: committed responses by
 	// client key.
 	Outcomes map[string]ReplayOutcome
+	// charges are the commits' exact guarantees in log order.
+	charges []Charge
+	// reserveKeys names the key of each keyed reserve record by LSN.
+	reserveKeys map[uint64]string
 }
 
-// Charges returns every committed guarantee in LSN order — the multiset
-// the recovered accountant composes and the log's books count.
+func newState() *State {
+	return &State{Outcomes: make(map[string]ReplayOutcome)}
+}
+
+// Charges returns every committed guarantee in log order — the multiset
+// the recovered accountant composes and the log's books count. The
+// slice is the State's own, clipped so an append copies it.
 func (st *State) Charges() []Charge {
-	var out []Charge
-	for _, c := range st.Commits {
-		out = append(out, c.Charges...)
-	}
-	return out
+	return slices.Clip(st.charges)
 }
 
-// Replay folds a log's surviving records into their settled state:
-// every commit is charged, and the committed outcomes keyed by
-// Idempotency-Key are restored. A commit's key is its own, or — in logs
+// fold settles one record: every commit is charged, and its outcome is
+// restored when it is keyed. A commit's key is its own, or — in logs
 // written before commits carried their intent — that of the reserve
 // record its Ref names. Any other record charges nothing: a request
-// that never committed never released. Records are processed in LSN
-// order; Replay is a pure function, so recovery is deterministic
-// regardless of worker counts or replay timing.
-func Replay(recs []Record) *State {
-	st := &State{Outcomes: make(map[string]ReplayOutcome)}
-	reserveKeys := make(map[uint64]string)
-	for _, rec := range recs {
-		switch rec.Op {
-		case OpReserve:
-			reserveKeys[rec.LSN] = rec.Key
-		case OpCommit:
-			key := rec.Key
-			if key == "" {
-				key = reserveKeys[rec.Ref]
-			}
-			if key != "" && rec.Status != 0 {
-				st.Outcomes[key] = ReplayOutcome{Status: rec.Status, Response: rec.Response}
-			}
-			st.Commits = append(st.Commits, rec)
+// that never committed never released.
+func (st *State) fold(rec *Record) {
+	switch rec.Op {
+	case OpReserve:
+		if rec.Key == "" {
+			// The last reserve at an LSN names its key, keyed or not.
+			delete(st.reserveKeys, rec.LSN)
+			return
 		}
+		if st.reserveKeys == nil {
+			st.reserveKeys = make(map[uint64]string)
+		}
+		st.reserveKeys[rec.LSN] = rec.Key
+	case OpCommit:
+		key := rec.Key
+		if key == "" {
+			key = st.reserveKeys[rec.Ref]
+		}
+		if key != "" && rec.Status != 0 {
+			st.Outcomes[key] = ReplayOutcome{Status: rec.Status, Response: rec.Response}
+		}
+		st.Commits++
+		st.charges = append(st.charges, rec.Charges...)
+	}
+}
+
+// Replay folds a log's surviving records, in the order given (Open's
+// LSN order), into their settled state, as Recover does while it reads.
+// Replay is a pure function, so recovery is deterministic regardless of
+// worker counts or replay timing.
+func Replay(recs []Record) *State {
+	st := newState()
+	for i := range recs {
+		st.fold(&recs[i])
 	}
 	return st
 }

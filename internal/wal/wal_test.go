@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -153,8 +154,8 @@ func TestFreeze(t *testing.T) {
 	// The crash left only the commit that landed before it.
 	_, recs := openT(t, path)
 	st := Replay(recs)
-	if len(recs) != 1 || len(st.Commits) != 1 || st.Commits[0].Seed != 1 {
-		t.Fatalf("frozen-crash replay: %d record(s), commits %+v; want the one commit before the freeze", len(recs), st.Commits)
+	if len(recs) != 1 || st.Commits != 1 || recs[0].Seed != 1 {
+		t.Fatalf("frozen-crash replay: %d record(s), %d commit(s), %+v; want the one commit before the freeze", len(recs), st.Commits, recs)
 	}
 }
 
@@ -190,8 +191,8 @@ func TestReplaySettlement(t *testing.T) {
 	}
 	l, recs := openT(t, path)
 	st := Replay(recs)
-	if len(st.Commits) != 3 {
-		t.Fatalf("commits=%d, want 3", len(st.Commits))
+	if st.Commits != 3 {
+		t.Fatalf("commits=%d, want 3", st.Commits)
 	}
 	want := []Charge{{Mechanism: "gibbs", Sensitivity: 0.02, Outcomes: 9, Epsilon: 0.5, Delta: 0.05}, {Mechanism: "laplace", Epsilon: 0.3}}
 	ch := st.Charges()
@@ -220,8 +221,8 @@ func TestReplaySettlement(t *testing.T) {
 	l.Close()
 	l, recs = openT(t, path)
 	st = Replay(recs)
-	if got := len(st.Charges()); len(st.Commits) != 5 || got != 4 {
-		t.Fatalf("after upgrade: %d commits carrying %d charges, want 5 and 4", len(st.Commits), got)
+	if got := len(st.Charges()); st.Commits != 5 || got != 4 {
+		t.Fatalf("after upgrade: %d commits carrying %d charges, want 5 and 4", st.Commits, got)
 	}
 	checkBooks(t, l, st.Charges())
 	if len(st.Outcomes) != 2 {
@@ -299,8 +300,8 @@ func TestTxnReleaseVoids(t *testing.T) {
 		t.Fatalf("log after Begin+Release: size=%v err=%v, want an empty file", fi.Size(), err)
 	}
 	_, recs := openT(t, path)
-	if st := Replay(recs); len(recs) != 0 || len(st.Commits) != 0 || len(st.Outcomes) != 0 {
-		t.Fatalf("replay after release: %d records, %d commits, %d outcomes", len(recs), len(st.Commits), len(st.Outcomes))
+	if st := Replay(recs); len(recs) != 0 || st.Commits != 0 || len(st.Outcomes) != 0 {
+		t.Fatalf("replay after release: %d records, %d commits, %d outcomes", len(recs), st.Commits, len(st.Outcomes))
 	}
 }
 
@@ -363,7 +364,10 @@ func TestHooks(t *testing.T) {
 // FuzzWALRepair feeds arbitrary bytes as a WAL file and demands the
 // repair invariants: Open never errors on mangled content, never
 // panics, surviving records replay cleanly, and a post-repair append
-// round-trips.
+// round-trips. Recover, on its own copy of the bytes, must fail exactly
+// when a surviving record's LSN falls in file order, leaving the bytes
+// as they were, and otherwise settle what Replay of Open's records
+// settles, with the same books.
 func FuzzWALRepair(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte(`{"op":"reserve","lsn":1,"endpoint":"fit","epsilon":0.5}` + "\n"))
@@ -371,11 +375,47 @@ func FuzzWALRepair(f *testing.F) {
 	f.Add([]byte(`{"op":"reserve","lsn":1}` + "\n" + `{"op":"comm`))
 	f.Add([]byte("\x00\xff garbage\n{\"op\":\"void\",\"lsn\":9,\"ref\":3}\n"))
 	f.Add([]byte(`{"op":"commit","lsn":1,"key":"k","endpoint":"fit","epsilon":0.5,"status":200,"response":"e30K","charges":[{"epsilon":0.5}]}` + "\n"))
+	f.Add([]byte(v1Log))
+	// A decreasing LSN, which Recover refuses and Open sorts.
+	f.Add([]byte(`{"op":"commit","lsn":2,"status":200,"charges":[{"epsilon":0.5}]}` + "\n" + `{"op":"commit","lsn":1,"status":200,"charges":[{"epsilon":0.25}]}` + "\n"))
+	// Equal LSNs: a keyed and an unkeyed reserve at one LSN, and two
+	// keyed commits at another.
+	f.Add([]byte(`{"op":"reserve","lsn":1,"key":"a"}` + "\n" + `{"op":"reserve","lsn":1}` + "\n" +
+		`{"op":"commit","lsn":2,"ref":1,"status":200,"response":"e30K","charges":[{"epsilon":0.5}]}` + "\n" +
+		`{"op":"commit","lsn":3,"key":"b","status":200,"response":"e30K","charges":[{"epsilon":0.1}]}` + "\n" +
+		`{"op":"commit","lsn":3,"key":"b","status":201,"response":"e30K","charges":[{"epsilon":0.2}]}` + "\n"))
+	// An old-format keyed reserve named by a later commit's Ref, with an
+	// unrelated reserve between them.
+	f.Add([]byte(`{"op":"reserve","lsn":1,"key":"k","endpoint":"fit","epsilon":0.5}` + "\n" + `{"op":"reserve","lsn":2,"endpoint":"density","epsilon":0.1}` + "\n" +
+		`{"op":"commit","lsn":3,"ref":1,"status":200,"response":"e30K","charges":[{"mechanism":"gibbs","sensitivity":0.02,"outcomes":9,"epsilon":0.5,"delta":0.05}]}` + "\n"))
+	// A keyed commit carrying two charges.
+	f.Add([]byte(`{"op":"commit","lsn":4,"key":"q","endpoint":"summary","epsilon":0.3,"status":200,"response":"e30K","charges":[{"mechanism":"laplace","epsilon":0.1},{"mechanism":"summary","epsilon":0.2}]}` + "\n"))
+	// An unkeyed reserve and the commit that names it.
+	f.Add([]byte(`{"op":"reserve","lsn":1,"endpoint":"select","seed":5,"epsilon":0.1}` + "\n" + `{"op":"commit","lsn":2,"ref":1,"status":200,"charges":[{"mechanism":"select","epsilon":0.1}]}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			return
 		}
 		dir := t.TempDir()
+		// Recover reads its own copy of the bytes, before Open repairs
+		// the other.
+		rpath := filepath.Join(dir, "recover.wal")
+		if err := os.WriteFile(rpath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rl, rst, rerr := Recover(rpath)
+		if lsnDecreases(data) {
+			if !errors.Is(rerr, ErrOrder) {
+				t.Fatalf("Recover of a log whose LSNs decrease: err=%v, want ErrOrder", rerr)
+			}
+			if b, err := os.ReadFile(rpath); err != nil || !bytes.Equal(b, data) {
+				t.Fatalf("Recover wrote to a log it refused (err=%v)", err)
+			}
+		} else if rerr != nil {
+			t.Fatalf("Recover on arbitrary bytes whose LSNs never decrease: %v", rerr)
+		} else {
+			defer rl.Close()
+		}
 		path := filepath.Join(dir, "fuzz.wal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -390,12 +430,18 @@ func FuzzWALRepair(f *testing.F) {
 			}
 		}
 		st := Replay(recs)
-		if len(st.Commits) > len(recs) || len(st.Outcomes) > len(st.Commits) {
-			t.Fatalf("replay invented records: %d commits and %d outcomes from %d records", len(st.Commits), len(st.Outcomes), len(recs))
+		if st.Commits > len(recs) || len(st.Outcomes) > st.Commits {
+			t.Fatalf("replay invented records: %d commits and %d outcomes from %d records", st.Commits, len(st.Outcomes), len(recs))
 		}
 		// Open seeds the books with exactly the charges Replay charges,
 		// and the post-repair commit moves them by exactly its own.
 		checkBooks(t, l, st.Charges())
+		if rerr == nil {
+			// The streamed fold settles exactly what the materialized one
+			// does, and the two logs keep the same books.
+			sameState(t, rst, st)
+			checkBooks(t, rl, st.Charges())
+		}
 		lsn, err := l.Append(Record{Op: OpCommit, Endpoint: "fit", Epsilon: 0.25, Status: 200, Charges: []Charge{{Epsilon: 0.25}}})
 		if err != nil {
 			t.Fatalf("append after repair: %v", err)
@@ -416,6 +462,54 @@ func FuzzWALRepair(f *testing.F) {
 			t.Fatalf("post-repair append lost on reopen (lsn=%d, %d records)", lsn, len(recs2))
 		}
 	})
+}
+
+// lsnDecreases reports whether, in file order, a surviving record of a
+// log's bytes — a line that decodes to a record with an op and a
+// non-zero LSN — carries an LSN below its predecessor's.
+func lsnDecreases(data []byte) bool {
+	var last uint64
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		var r Record
+		if json.Unmarshal(line, &r) != nil || r.Op == "" || r.LSN == 0 {
+			continue
+		}
+		if r.LSN < last {
+			return true
+		}
+		last = r.LSN
+	}
+	return false
+}
+
+// sameState asserts that two folds settled the same commit count, the
+// same charges in the same order, bit for bit, and the same outcomes.
+func sameState(t *testing.T, got, want *State) {
+	t.Helper()
+	if got.Commits != want.Commits {
+		t.Fatalf("Recover folded %d commit(s), Replay %d", got.Commits, want.Commits)
+	}
+	gc, wc := got.Charges(), want.Charges()
+	if len(gc) != len(wc) {
+		t.Fatalf("Recover holds %d charge(s), Replay %d", len(gc), len(wc))
+	}
+	for i := range gc {
+		g, w := gc[i], wc[i]
+		if g.Mechanism != w.Mechanism || g.Outcomes != w.Outcomes ||
+			math.Float64bits(g.Sensitivity) != math.Float64bits(w.Sensitivity) ||
+			math.Float64bits(g.Epsilon) != math.Float64bits(w.Epsilon) ||
+			math.Float64bits(g.Delta) != math.Float64bits(w.Delta) {
+			t.Fatalf("charge %d: Recover %+v, Replay %+v", i, g, w)
+		}
+	}
+	if len(got.Outcomes) != len(want.Outcomes) {
+		t.Fatalf("Recover restored %d outcome(s), Replay %d", len(got.Outcomes), len(want.Outcomes))
+	}
+	for k, w := range want.Outcomes {
+		if g, ok := got.Outcomes[k]; !ok || g.Status != w.Status || !bytes.Equal(g.Response, w.Response) {
+			t.Fatalf("outcome %q: Recover %+v (present %v), Replay %+v", k, g, ok, w)
+		}
+	}
 }
 
 // faultFile passes writes and fsyncs through to the log's file until
