@@ -50,8 +50,9 @@ race:
 
 # Short fuzzing pass over the log-domain primitives, the exact float64
 # accumulator, the zero-one risk's counting loop, the W3C traceparent
-# parser and the WAL's torn-tail repair (one -fuzz target per
-# invocation, as `go test` requires).
+# parser, the WAL's torn-tail repair and its one-pass line decoder,
+# checked against encoding/json (one -fuzz target per invocation, as
+# `go test` requires).
 # Override FUZZTIME for longer campaigns, e.g.
 # `make fuzz-smoke FUZZTIME=2m`.
 FUZZTIME ?= 10s
@@ -63,6 +64,7 @@ fuzz-smoke:
 	$(GO) test ./internal/learn -run '^$$' -fuzz '^FuzzZeroOneRisk$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzTraceparent$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALRepair$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME)
 
 # Chaos battery: deterministic fault injection (worker panics, budget
 # denials, NaN risks, checkpoint-write failures) plus the robustness
@@ -142,9 +144,10 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable benchmark artifacts: runs the parallel-engine,
-# mechanism, linter, risk-grid and WAL-recovery benchmark suites and
-# writes BENCH_parallel.json, BENCH_mechanism.json, BENCH_lint.json,
-# BENCH_learn.json and BENCH_wal.json (CI uploads them). Each benchmark
+# mechanism, linter, risk-grid and WAL (recovery and per-line decode)
+# benchmark suites and writes BENCH_parallel.json, BENCH_mechanism.json,
+# BENCH_lint.json, BENCH_learn.json and BENCH_wal.json (CI uploads
+# them). Each benchmark
 # runs for a time budget, not one iteration: a single iteration reads
 # cold caches and first-call allocations, so its numbers cannot show a
 # regression.

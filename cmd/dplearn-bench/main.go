@@ -2,8 +2,8 @@
 // writes machine-readable BENCH_<name>.json artifacts (parsed from the
 // standard `go test -bench` text by internal/obs.ParseBench). CI uploads
 // the artifacts so the perf trajectory of the deterministic parallel
-// engine, the mechanism family, the risk grid and WAL recovery is
-// diffable across commits.
+// engine, the mechanism family, the risk grid and WAL recovery (whole
+// logs, and the per-line decode) is diffable across commits.
 //
 // Usage:
 //

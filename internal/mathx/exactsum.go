@@ -75,6 +75,16 @@ func (s *ExactSum) SetSum(x, y *ExactSum) {
 	s.negInf = x.negInf || y.negInf
 }
 
+// SetDiff sets s to the exact difference of the terms of x and y — the
+// terms of x and those of y negated, as Sub would take them — which are
+// left unchanged. Rounding s then rounds the true difference once.
+func (s *ExactSum) SetDiff(x, y *ExactSum) {
+	s.units.Sub(&x.units, &y.units)
+	s.nan = x.nan || y.nan
+	s.posInf = x.posInf || y.negInf
+	s.negInf = x.negInf || y.posInf
+}
+
 // Reset empties the sum, keeping its storage.
 func (s *ExactSum) Reset() {
 	s.units.SetInt64(0)

@@ -186,6 +186,48 @@ func TestExactSumSetSum(t *testing.T) {
 	}
 }
 
+func TestExactSumSetDiff(t *testing.T) {
+	g := rng.New(15)
+	xs := randTerms(g, 40, 1020, 40)
+	ys := randTerms(g, 40, 1020, 40)
+	var x, y, s ExactSum
+	neg := make([]float64, len(ys))
+	for i := range xs {
+		x.Add(xs[i])
+		y.Add(ys[i])
+		neg[i] = -ys[i]
+	}
+	wantX, wantY := x.Float64(), y.Float64()
+	s.Add(123) // SetDiff overwrites
+	s.SetDiff(&x, &y)
+	if got, want := s.Float64(), refSum(append(xs, neg...)); !sameBits(got, want) {
+		t.Fatalf("SetDiff = %v, want %v", got, want)
+	}
+	if !sameBits(x.Float64(), wantX) || !sameBits(y.Float64(), wantY) {
+		t.Fatal("SetDiff modified an operand")
+	}
+	// The difference of two rounded sums rounds twice; SetDiff once.
+	var two, three ExactSum
+	for _, v := range []float64{0.1, 0.7} {
+		two.Add(v)
+		three.Add(v)
+	}
+	three.Add(0.25)
+	if s.SetDiff(&three, &two); s.Float64() != 0.25 || three.Float64()-two.Float64() == 0.25 {
+		t.Fatalf("SetDiff = %v (rounded sums differ by %v), want exactly 0.25", s.Float64(), three.Float64()-two.Float64())
+	}
+	if s.SetDiff(&x, &x); s.Float64() != 0 {
+		t.Fatalf("SetDiff(x, x) = %v, want 0", s.Float64())
+	}
+	y.Add(math.Inf(-1))
+	if s.SetDiff(&x, &y); !math.IsInf(s.Float64(), 1) {
+		t.Fatalf("SetDiff less a -Inf term = %v, want +Inf", s.Float64())
+	}
+	if s.SetDiff(&y, &y); !math.IsNaN(s.Float64()) {
+		t.Fatalf("SetDiff of two -Inf sums = %v, want NaN", s.Float64())
+	}
+}
+
 // TestExactSumAddDoesNotAllocate pins that a warm accumulator adds and
 // subtracts without allocating: WAL recovery adds every committed
 // charge of a tenant's history at boot.

@@ -160,16 +160,22 @@ func (a *Accountant) Count() int {
 	return a.spent
 }
 
-// Audit returns the spend count and basic composition read under one
-// lock, so both describe the same spends; an audit reads its witness
-// first and the accountant second. A nil accountant has empty books.
-func (a *Accountant) Audit() (count int, basic Guarantee) {
+// Audit returns the spend count and sets eps and del to copies of the
+// spends' exact ε and δ sums, all read under one lock, so the three
+// describe the same spends; an audit reads its witness first and the
+// accountant second. A nil accountant has empty books.
+func (a *Accountant) Audit(eps, del *mathx.ExactSum) (count int) {
 	if a == nil {
-		return 0, Guarantee{}
+		eps.Reset()
+		del.Reset()
+		return 0
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.spent, Guarantee{Epsilon: a.spentEps.Float64(), Delta: a.spentDel.Float64()}
+	var none mathx.ExactSum // a sum with nothing added makes SetSum a copy
+	eps.SetSum(&a.spentEps, &none)
+	del.SetSum(&a.spentDel, &none)
+	return a.spent
 }
 
 // BasicComposition returns the sequential-composition guarantee:
@@ -186,8 +192,12 @@ func (a *Accountant) Audit() (count int, basic Guarantee) {
 // The sums are kept as spends arrive, so the call costs the same at any
 // history length.
 func (a *Accountant) BasicComposition() Guarantee {
-	_, g := a.Audit()
-	return g
+	if a == nil {
+		return Guarantee{}
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return Guarantee{Epsilon: a.spentEps.Float64(), Delta: a.spentDel.Float64()}
 }
 
 // AdvancedComposition returns the Dwork–Rothblum–Vadhan advanced

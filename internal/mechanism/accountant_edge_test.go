@@ -3,6 +3,8 @@ package mechanism
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/mathx"
 )
 
 // TestAccountantNilSink pins the nil-sink contract the release paths rely
@@ -23,8 +25,11 @@ func TestAccountantNilSink(t *testing.T) {
 	if g := a.BestComposition(1e-6); g != (Guarantee{}) {
 		t.Errorf("nil accountant BestComposition = %+v, want basic {0, 0}", g)
 	}
-	if count, basic := a.Audit(); count != 0 || basic != (Guarantee{}) {
-		t.Errorf("nil accountant Audit = %d, %+v; want the empty books", count, basic)
+	var eps, del mathx.ExactSum
+	eps.Add(1)
+	del.Add(1)
+	if count := a.Audit(&eps, &del); count != 0 || eps.Float64() != 0 || del.Float64() != 0 {
+		t.Errorf("nil accountant Audit = %d, (%v, %v); want the empty books", count, eps.Float64(), del.Float64())
 	}
 }
 

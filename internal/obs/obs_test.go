@@ -153,6 +153,12 @@ func TestSummarizeRender(t *testing.T) {
 		led.Record(LedgerRecord{Seq: uint64(i), Mechanism: "expmech", Epsilon: 0.5})
 		sp.End()
 	}
+	// A kind whose running float sum rounds three times and lands one ulp
+	// off the exact sum.
+	laplace := []float64{0.1, 0.2, 0.3}
+	for i, eps := range laplace {
+		led.Record(LedgerRecord{Seq: uint64(3 + i), Mechanism: "laplace", Epsilon: eps})
+	}
 	// Events come only from older traces; readers still count them.
 	buf.WriteString(`{"type":"event","span":9,"ts":9,"kind":"note"}` + "\n")
 	sp := tr.StartSpan("fit")
@@ -162,18 +168,27 @@ func TestSummarizeRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Spans != 4 || s.Events != 1 || s.Releases != 3 {
+	if s.Spans != 4 || s.Events != 1 || s.Releases != 6 {
 		t.Fatalf("summary counts wrong: %+v", s)
 	}
-	wantE, _ := ComposeBasic([]float64{0.5, 0.5, 0.5}, []float64{0, 0, 0})
+	wantE, _ := ComposeBasic(append([]float64{0.5, 0.5, 0.5}, laplace...), nil)
 	if math.Float64bits(s.Epsilon) != math.Float64bits(wantE) {
 		t.Fatalf("summary eps %g != %g", s.Epsilon, wantE)
 	}
 	if len(s.ByName) != 2 || s.ByName[0].Name != "sweep.cell" || s.ByName[0].Count != 3 {
 		t.Fatalf("ByName wrong: %+v", s.ByName)
 	}
-	if len(s.ByMechanism) != 1 || s.ByMechanism[0].Mechanism != "expmech" || s.ByMechanism[0].Count != 3 {
+	if len(s.ByMechanism) != 2 || s.ByMechanism[0].Mechanism != "expmech" || s.ByMechanism[0].Count != 3 ||
+		s.ByMechanism[1].Mechanism != "laplace" || s.ByMechanism[1].Count != 3 {
 		t.Fatalf("ByMechanism wrong: %+v", s.ByMechanism)
+	}
+	var running float64
+	for _, eps := range laplace {
+		running += eps
+	}
+	exact, _ := ComposeBasic(laplace, nil)
+	if got := s.ByMechanism[1].Epsilon; math.Float64bits(got) != math.Float64bits(exact) || math.Float64bits(running) == math.Float64bits(exact) {
+		t.Fatalf("laplace eps %.17g, want the exact sum %.17g (the running float sum is %.17g)", got, exact, running)
 	}
 
 	var out bytes.Buffer
@@ -181,7 +196,7 @@ func TestSummarizeRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := out.String()
-	for _, want := range []string{"3 release(s)", "expmech", "4 span(s)", "sweep.cell"} {
+	for _, want := range []string{"6 release(s)", "expmech", "laplace", "3 release(s)  eps=0.6\n", "4 span(s)", "sweep.cell"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("rendered summary missing %q:\n%s", want, text)
 		}

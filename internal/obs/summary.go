@@ -34,7 +34,9 @@ type SpanStat struct {
 	Total int64
 }
 
-// MechanismStat is the per-kind aggregate of ledger spend.
+// MechanismStat is the per-kind aggregate of ledger spend. Epsilon is
+// the kind's basic composition (ComposeBasic), exact and rounded once as
+// the headline is.
 type MechanismStat struct {
 	Mechanism string
 	Count     int
@@ -61,7 +63,7 @@ func Summarize(r io.Reader) (*TraceSummary, error) {
 	}
 	s := &TraceSummary{}
 	byName := make(map[string]*SpanStat)
-	byMech := make(map[string]*MechanismStat)
+	byMech := make(map[string][]float64) // each kind's ε, in trace order
 	var eps, del []float64
 	line := 0
 	for sc.Scan() {
@@ -93,13 +95,7 @@ func Summarize(r io.Reader) (*TraceSummary, error) {
 			if kind == "" {
 				kind = "(unlabeled)"
 			}
-			ms, ok := byMech[kind]
-			if !ok {
-				ms = &MechanismStat{Mechanism: kind}
-				byMech[kind] = ms
-			}
-			ms.Count++
-			ms.Epsilon += rec.Epsilon
+			byMech[kind] = append(byMech[kind], rec.Epsilon)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -115,8 +111,9 @@ func Summarize(r io.Reader) (*TraceSummary, error) {
 		}
 		return s.ByName[i].Name < s.ByName[j].Name
 	})
-	for _, ms := range byMech {
-		s.ByMechanism = append(s.ByMechanism, *ms)
+	for kind, eps := range byMech {
+		e, _ := ComposeBasic(eps, nil)
+		s.ByMechanism = append(s.ByMechanism, MechanismStat{Mechanism: kind, Count: len(eps), Epsilon: e})
 	}
 	sort.Slice(s.ByMechanism, func(i, j int) bool {
 		if s.ByMechanism[i].Epsilon != s.ByMechanism[j].Epsilon { //dplint:ignore floateq display ordering on aggregated totals, no guarantee depends on the tie

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mathx"
 	"repro/internal/mechanism"
 	"repro/internal/obs"
 )
@@ -106,9 +107,11 @@ func streamMatches(recs []obs.LedgerRecord, acct *mechanism.Accountant) error {
 		eps[i], del[i] = r.Epsilon, r.Delta
 	}
 	e, d := obs.ComposeBasic(eps, del)
-	if count, g := acct.Audit(); len(recs) != count || e != g.Epsilon || d != g.Delta {
+	var se, sd mathx.ExactSum
+	count := acct.Audit(&se, &sd)
+	if ge, gd := se.Float64(), sd.Float64(); len(recs) != count || e != ge || d != gd {
 		return fmt.Errorf("stream holds %d line(s) composing to (%.17g, %.17g), accountant %d spend(s) composing to (%.17g, %.17g)",
-			len(recs), e, d, count, g.Epsilon, g.Delta)
+			len(recs), e, d, count, ge, gd)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/learn"
+	"repro/internal/mathx"
 	"repro/internal/mechanism"
 	"repro/internal/obs"
 	"repro/internal/obsglue"
@@ -68,14 +69,18 @@ func (t *Tenant) Budget() mechanism.Guarantee {
 // accountant before its commit record lands on the log, so the log
 // never leads. More charges on the log, or as many with other sum bits,
 // fail. Fewer are charges in flight — an error on a poisoned log, which
-// can never write them, and for a quiescent caller.
+// can never write them, and for a quiescent caller, naming their ε and δ
+// as the exact difference of the two books, rounded once.
 func (t *Tenant) CrossCheck(quiescent bool) (witness string, inFlight int, err error) {
 	if t.wal == nil {
 		return "none", 0, nil
 	}
-	logged, onLog, logErr := t.wal.Committed()
-	count, spent := t.Acct.Audit()
+	var logEps, logDel, eps, del mathx.ExactSum
+	logged, logErr := t.wal.Committed(&logEps, &logDel)
+	count := t.Acct.Audit(&eps, &del)
 	inFlight = count - logged
+	onLog := mechanism.Guarantee{Epsilon: logEps.Float64(), Delta: logDel.Float64()}
+	spent := mechanism.Guarantee{Epsilon: eps.Float64(), Delta: del.Float64()}
 	switch {
 	case inFlight < 0:
 		err = fmt.Errorf("the write-ahead log holds %d charge(s), the accountant %d", logged, count)
@@ -84,8 +89,12 @@ func (t *Tenant) CrossCheck(quiescent bool) (witness string, inFlight int, err e
 		err = fmt.Errorf("the write-ahead log composes %d charge(s) to (%.17g, %.17g), the accountant to (%.17g, %.17g)",
 			count, onLog.Epsilon, onLog.Delta, spent.Epsilon, spent.Delta)
 	case inFlight > 0 && (quiescent || logErr != nil):
+		// The missing charges' guarantee: the exact difference of the
+		// two books, rounded once.
+		eps.SetDiff(&eps, &logEps)
+		del.SetDiff(&del, &logDel)
 		err = fmt.Errorf("%d charge(s) (ε %.17g, δ %.17g) on the accountant are missing from the write-ahead log",
-			inFlight, spent.Epsilon-onLog.Epsilon, spent.Delta-onLog.Delta)
+			inFlight, eps.Float64(), del.Float64())
 		if logErr != nil {
 			err = fmt.Errorf("%w, which failed: %w", err, logErr)
 		}

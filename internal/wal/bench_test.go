@@ -104,3 +104,30 @@ func BenchmarkOpenReplay(b *testing.B) {
 		return l, len(Replay(recs).Charges()), nil
 	})
 }
+
+// BenchmarkDecodeRecord is the per-line cost of recovery's decoder on the
+// two lines of a long-history prefill pair, as Append writes them.
+func BenchmarkDecodeRecord(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		rec  Record
+	}{
+		{"reserve", Record{Op: OpReserve, LSN: 39_999, Endpoint: "density", Seed: 6_149_344_282_512_307_515, Epsilon: 0.05}},
+		{"commit", Record{Op: OpCommit, LSN: 40_000, Ref: 39_999, Status: 200, Charges: []Charge{{Mechanism: "laplace", Epsilon: 0.05}}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			line, err := json.Marshal(bc.rec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(line)))
+			var r Record
+			for i := 0; i < b.N; i++ {
+				if err := decodeRecord(line, &r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

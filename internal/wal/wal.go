@@ -39,6 +39,13 @@
 // Logs written before commits carried their intent hold a "reserve"
 // record per request, which a commit names by Ref; recovery reads such a
 // reserve only for the key of the commit that names it.
+//
+// The format is NDJSON as json.Marshal writes a Record. Recovery decodes
+// a line in that shape — no whitespace, each field's exact name at most
+// once, strings without escapes — in one pass (decodeRecord), and hands
+// any other line, an older format's or a torn one, to json.Unmarshal, so
+// on every line it reads what encoding/json reads, a differential fuzz
+// (FuzzDecodeRecord) holding the two to each other.
 package wal
 
 import (
@@ -164,13 +171,15 @@ type Log struct {
 }
 
 // scan opens (creating if needed) the WAL at path and reads it once:
-// it decodes each line, skips torn or corrupt lines — the signature of a
-// killed writer — and lines that are not records, books each commit's
-// charges and tracks the max LSN. Every surviving record goes to rec in
-// file order; the pointer is only valid during the call. The final torn
-// line is terminated and the offset left at EOF, so appends follow the
-// survivors (checkpoint.ScanRepair). An error from rec ends the scan
-// before any repair, closes the file and is returned.
+// it decodes each line (decodeRecord: one pass over a line in the shape
+// Append writes, json.Unmarshal for any other), skips torn or corrupt
+// lines — the signature of a killed writer — and lines that are not
+// records, books each commit's charges and tracks the max LSN. Every
+// surviving record goes to rec in file order; the pointer is only valid
+// during the call. The final torn line is terminated and the offset left
+// at EOF, so appends follow the survivors (checkpoint.ScanRepair). An
+// error from rec ends the scan before any repair, closes the file and is
+// returned.
 func scan(path string, rec func(*Record) error) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -179,14 +188,13 @@ func scan(path string, rec func(*Record) error) (*Log, error) {
 	l := &Log{f: f}
 	var r Record
 	err = checkpoint.ScanRepair(f, func(line []byte) error {
-		r = Record{}
-		if json.Unmarshal(line, &r) != nil {
+		if decodeRecord(line, &r) != nil {
 			return nil // torn tail or corruption: the record never became durable
 		}
 		if r.Op == "" || r.LSN == 0 {
 			return nil // structurally valid JSON that is not a WAL record
 		}
-		l.book(&r)
+		l.bookLocked(&r)
 		l.lsn = max(l.lsn, r.LSN)
 		return rec(&r)
 	})
@@ -272,9 +280,9 @@ func (l *Log) sticky() error {
 	return nil
 }
 
-// book adds a commit record's charges to the books. The caller holds
-// mu, or owns the log as scan does.
-func (l *Log) book(rec *Record) {
+// bookLocked adds a commit record's charges to the books. The caller
+// holds mu, or owns the log as scan does.
+func (l *Log) bookLocked(rec *Record) {
 	if rec.Op != OpCommit {
 		return
 	}
@@ -285,17 +293,22 @@ func (l *Log) book(rec *Record) {
 	}
 }
 
-// Committed returns the log's books: the number of durable charges,
-// their composition rounded once as the accountant rounds its own, and
-// the sticky error after which the books never grow. A nil log has
-// empty books.
-func (l *Log) Committed() (charges int, basic mechanism.Guarantee, err error) {
+// Committed returns the log's books — the number of durable charges,
+// with eps and del set to copies of their exact ε and δ sums, read under
+// one lock — and the sticky error after which the books never grow. A
+// nil log has empty books.
+func (l *Log) Committed(eps, del *mathx.ExactSum) (charges int, err error) {
 	if l == nil {
-		return 0, mechanism.Guarantee{}, nil
+		eps.Reset()
+		del.Reset()
+		return 0, nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.charges, mechanism.Guarantee{Epsilon: l.eps.Float64(), Delta: l.del.Float64()}, l.sticky()
+	var none mathx.ExactSum // a sum with nothing added makes SetSum a copy
+	eps.SetSum(&l.eps, &none)
+	del.SetSum(&l.del, &none)
+	return l.charges, l.sticky()
 }
 
 // Append assigns the next LSN, writes the record as one NDJSON line in
@@ -331,7 +344,7 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	if err != nil {
 		return 0, l.poison(fmt.Errorf("%w: fsync: %w", ErrAppend, err))
 	}
-	l.book(&rec)
+	l.bookLocked(&rec)
 	return rec.LSN, nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mathx"
 	"repro/internal/mechanism"
 	"repro/internal/obs"
 )
@@ -36,10 +37,11 @@ func checkBooks(t *testing.T, l *Log, charges []Charge) {
 		eps[i], del[i] = c.Epsilon, c.Delta
 	}
 	we, wd := obs.ComposeBasic(eps, del)
-	n, g, _ := l.Committed()
-	if n != len(charges) || math.Float64bits(g.Epsilon) != math.Float64bits(we) || math.Float64bits(g.Delta) != math.Float64bits(wd) {
+	var se, sd mathx.ExactSum
+	n, _ := l.Committed(&se, &sd)
+	if ge, gd := se.Float64(), sd.Float64(); n != len(charges) || math.Float64bits(ge) != math.Float64bits(we) || math.Float64bits(gd) != math.Float64bits(wd) {
 		t.Fatalf("books hold %d charge(s) composing to (%.17g, %.17g), want %d composing to (%.17g, %.17g)",
-			n, g.Epsilon, g.Delta, len(charges), we, wd)
+			n, ge, gd, len(charges), we, wd)
 	}
 }
 
@@ -613,7 +615,8 @@ func TestPoisonOnFailedSync(t *testing.T) {
 	// Only commit A was durable when its Append returned: the books
 	// hold it alone, and report the failure that stopped them.
 	checkBooks(t, l, []Charge{{Epsilon: 0.5}})
-	if _, _, err := l.Committed(); !errors.Is(err, ErrAppend) {
+	var se, sd mathx.ExactSum
+	if _, err := l.Committed(&se, &sd); !errors.Is(err, ErrAppend) {
 		t.Fatalf("books of a poisoned log report %v, want ErrAppend", err)
 	}
 	l.Close()
