@@ -92,44 +92,19 @@ chaos-restart:
 	$(GO) test -race -run 'TestWALCrashChaosEveryBoundary|TestWALKillRestartCycles|TestWALRecoveryRoundTrip' ./internal/serve
 	$(GO) test -race ./internal/wal
 
-# Serving benchmark, then the budget-exhaustion check, in two parts.
-# 1. Measure: a short _servebench durable-mix run (the real dplearn-serve
-#    binary with a write-ahead log, 10^6-ε budgets so admission never
-#    refuses, every request sent once; see _servebench/README.md). It
-#    prints goodput, p50/p99 latency and the rest, its result line
-#    becomes BENCH_serve.json, and a failed run fails the target.
-# 2. Check: boot a traced dplearn-serve with an access log and a
-#    write-ahead log in a fresh temporary directory, run both tenants out
-#    of budget with dplearn-loadgen through the retry client, SIGINT the
-#    server (the drain audits every tenant's accountant against its log),
-#    and verify the trace/ledger/access join with dplearn-trace -check,
-#    leaving serve_trace.ndjson and serve_access.ndjson.
-# SERVE_SEED seeds both parts; SERVE_REQUESTS sizes part 2.
-SERVE_REQUESTS ?= 1000
+# Serving benchmark: a short _servebench durable-mix run (the real
+# dplearn-serve binary with a write-ahead log, 10^6-ε budgets so
+# admission never refuses, every request sent once; see
+# _servebench/README.md). It prints goodput, p50/p99 latency and the
+# rest, its result line becomes BENCH_serve.json, and a failed run fails
+# the target. Budget exhaustion through the retry client is a serve
+# test (TestRealClientExhaustsBudgets, in `make serve-test`).
 SERVE_SEED ?= 1
 bench-serve:
 	@out=$$(mktemp); \
 	bash _servebench/run.sh --workload durable-mix --seed $(SERVE_SEED) --seconds 4 --trace 0 > "$$out"; \
 	status=$$?; cat "$$out"; tail -n 1 "$$out" > BENCH_serve.json; rm -f "$$out"; \
 	[ $$status -eq 0 ] || { echo "bench-serve: the _servebench run failed (exit $$status)"; exit 1; }
-	$(GO) build -o bin/dplearn-serve ./cmd/dplearn-serve
-	$(GO) build -o bin/dplearn-loadgen ./cmd/dplearn-loadgen
-	$(GO) build -o bin/dplearn-trace ./cmd/dplearn-trace
-	@rm -f serve.addr; \
-	wal_dir=$$(mktemp -d); \
-	./bin/dplearn-serve -addr localhost:0 -addr-file serve.addr \
-	  -tenants "alpha=6,beta=2.5" -degrade refuse -timeout 300s -wal-dir "$$wal_dir" \
-	  -trace serve_trace.ndjson -access-log serve_access.ndjson & \
-	serve_pid=$$!; \
-	for i in $$(seq 1 100); do [ -s serve.addr ] && break; sleep 0.1; done; \
-	[ -s serve.addr ] || { echo "bench-serve: server never published its address"; kill $$serve_pid; rm -rf "$$wal_dir"; exit 1; }; \
-	./bin/dplearn-loadgen -addr "$$(cat serve.addr)" -tenants alpha,beta \
-	  -requests $(SERVE_REQUESTS) -seed $(SERVE_SEED) -concurrency 8; \
-	load_status=$$?; \
-	kill -INT $$serve_pid; wait $$serve_pid; serve_status=$$?; \
-	rm -f serve.addr; rm -rf "$$wal_dir"; \
-	./bin/dplearn-trace -check serve_trace.ndjson serve_access.ndjson; check_status=$$?; \
-	exit $$((load_status + serve_status + check_status))
 
 # Vet and test the serving benchmark's driver. _servebench is a module
 # of its own (see its go.mod), so `./...` never compiles it, yet it

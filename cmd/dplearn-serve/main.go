@@ -20,9 +20,12 @@
 // bit against its write-ahead log before exit; a failed audit exits
 // non-zero. Without -wal-dir the drain line names no in-process
 // witness, and the offline one is dplearn-trace -check over -trace.
+// Each tenant's drain line gives its own spend; the exit prints no ε
+// composed across tenants, which would add separate budgets into a
+// number that bounds no one's loss.
 //
 // -addr-file writes the bound address (useful with -addr :0) so
-// scripts can wait for readiness; see `make bench-serve`.
+// scripts can wait for readiness.
 //
 // -wal-dir makes budgets crash-safe: every spending request that
 // answers 2xx writes and fsyncs one commit record — carrying the exact
@@ -249,7 +252,7 @@ func main() {
 			fatal(fmt.Errorf("access log: %w", err))
 		}
 	}
-	if err := rt.Close(os.Stderr); err != nil {
+	if err := rt.Close(nil); err != nil {
 		fatal(err)
 	}
 }

@@ -272,7 +272,7 @@ func (s *requestStory) spentEpsilon() float64 {
 // renderTable prints the top-K-slowest requests with ε attribution.
 func renderTable(reqs []*requestStory, top int) {
 	if len(reqs) == 0 {
-		fmt.Fprintln(os.Stdout, "no traced requests (was the server run with -trace and the loadgen with traceparent injection?)")
+		fmt.Fprintln(os.Stdout, "no traced requests (was the server run with -trace, and did the requests carry a traceparent header?)")
 		return
 	}
 	fmt.Fprintf(os.Stdout, "%-32s  %-10s  %-9s  %6s  %8s  %10s  %10s  %s\n",

@@ -106,11 +106,21 @@ func TestTraceLedgerRoundTrip(t *testing.T) {
 }
 
 // TestReadLedgerRejectsCorruptLines pins the audit-artifact contract: a
-// malformed line is an error, never silently skipped.
+// malformed line, or a line of a known type whose fields do not decode,
+// is an error, never silently skipped — in ReadTraceNDJSON and in
+// Summarize, which decodes through it.
 func TestReadLedgerRejectsCorruptLines(t *testing.T) {
-	_, err := ReadTraceNDJSON(strings.NewReader("{\"type\":\"ledger\",\"epsilon\":1}\nnot json\n"))
-	if err == nil {
-		t.Fatal("corrupt line should be an error")
+	for _, stream := range []string{
+		"{\"type\":\"ledger\",\"epsilon\":1}\nnot json\n",
+		`{"type":"span","id":"x","name":"fit","start":1,"end":2}` + "\n",
+		`{"type":"access","endpoint":"fit","status":"bad"}` + "\n",
+	} {
+		if _, err := ReadTraceNDJSON(strings.NewReader(stream)); err == nil {
+			t.Errorf("ReadTraceNDJSON accepted %q", stream)
+		}
+		if s, err := Summarize(strings.NewReader(stream)); err == nil {
+			t.Errorf("Summarize accepted %q: %+v", stream, s)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -43,65 +41,33 @@ type MechanismStat struct {
 	Epsilon   float64
 }
 
-// Summarize reads an NDJSON trace stream and aggregates it. Unknown
-// record types are ignored (forward compatibility); malformed lines are
-// errors.
+// Summarize reads an NDJSON trace stream with ReadTraceNDJSON and
+// aggregates it, so a line the reader refuses fails the summary too.
 func Summarize(r io.Reader) (*TraceSummary, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	type anyLine struct {
-		Type string `json:"type"`
-		// span fields
-		Name  string `json:"name"`
-		Start int64  `json:"start"`
-		End   int64  `json:"end"`
-		// ledger fields
-		Mechanism string  `json:"mechanism"`
-		Epsilon   float64 `json:"epsilon"`
-		Delta     float64 `json:"delta"`
-		Seq       uint64  `json:"seq"`
-	}
-	s := &TraceSummary{}
-	byName := make(map[string]*SpanStat)
-	byMech := make(map[string][]float64) // each kind's ε, in trace order
-	var eps, del []float64
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var rec anyLine
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
-		}
-		switch rec.Type {
-		case "span":
-			s.Spans++
-			st, ok := byName[rec.Name]
-			if !ok {
-				st = &SpanStat{Name: rec.Name}
-				byName[rec.Name] = st
-			}
-			st.Count++
-			st.Total += rec.End - rec.Start
-		case "event":
-			s.Events++
-		case "ledger":
-			s.Releases++
-			eps = append(eps, rec.Epsilon)
-			del = append(del, rec.Delta)
-			kind := rec.Mechanism
-			if kind == "" {
-				kind = "(unlabeled)"
-			}
-			byMech[kind] = append(byMech[kind], rec.Epsilon)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	data, err := ReadTraceNDJSON(r)
+	if err != nil {
 		return nil, err
 	}
-	s.Epsilon, s.Delta = ComposeBasic(eps, del)
+	s := &TraceSummary{Spans: len(data.Spans), Events: len(data.Events), Releases: len(data.Ledger)}
+	byName := make(map[string]*SpanStat)
+	for _, sp := range data.Spans {
+		st, ok := byName[sp.Name]
+		if !ok {
+			st = &SpanStat{Name: sp.Name}
+			byName[sp.Name] = st
+		}
+		st.Count++
+		st.Total += sp.End - sp.Start
+	}
+	byMech := make(map[string][]float64) // each kind's ε, in trace order
+	for _, lr := range data.Ledger {
+		kind := lr.Mechanism
+		if kind == "" {
+			kind = "(unlabeled)"
+		}
+		byMech[kind] = append(byMech[kind], lr.Epsilon)
+	}
+	s.Epsilon, s.Delta = ComposeLedger(data.Ledger)
 	for _, st := range byName {
 		s.ByName = append(s.ByName, *st)
 	}

@@ -41,7 +41,7 @@ func TestDeriveTraceContextRoundTrip(t *testing.T) {
 }
 
 // TestDeriveTraceContextDeterministic pins the derivation: the ids are a
-// pure function of the seed, so a loadgen configuration alone reproduces
+// pure function of the seed, so a request stream's seeds alone reproduce
 // every trace id a traced run emitted.
 func TestDeriveTraceContextDeterministic(t *testing.T) {
 	for _, seed := range []int64{0, 7, -12345} {

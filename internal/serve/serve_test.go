@@ -55,6 +55,29 @@ func testData(seed int64, rows, dim int) DataJSON {
 	return d
 }
 
+// TestDatasetSharesDecodedRows pins the wire conversion's cost: the
+// rows encoding/json decoded become the examples' features as they
+// are, so a 500-row body costs the Dataset and its example slice, not a
+// copy of every row.
+func TestDatasetSharesDecodedRows(t *testing.T) {
+	b, err := json.Marshal(testData(5, 500, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dj DataJSON
+	if err := json.Unmarshal(b, &dj); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := dj.dataset(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("converting a 500-row body took %v allocations, want at most 2", allocs)
+	}
+}
+
 // postJSON posts body and returns the response with its decoded bytes.
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/mechanism"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/serve/client"
 )
 
@@ -267,6 +269,198 @@ func TestRealClientRetriesOnlyTransient429(t *testing.T) {
 	}
 	if len(retried) != 2 || retried[0].Outcome != "refused" || retried[1].Outcome != "committed" || retried[0].Span == retried[1].Span {
 		t.Errorf("retried trace's attempts %+v, want a refused then a committed one on two request spans", retried)
+	}
+}
+
+// TestRealClientExhaustsBudgets runs two tenants out of budget through
+// the retry client against a traced server with a write-ahead log.
+// Eight workers share one client and send a seeded stream of 1000
+// requests over every endpoint. Each request carries a traceparent
+// derived from its seed, and each spending request an idempotency key.
+// Every request settles on a 2xx or a 429. No attempt follows a 429
+// without Retry-After, and no budget_exhausted 429 carries one. Each
+// tenant ends on final 429s within its budget, /v1/crosscheck finds
+// both books on the log with nothing in flight, and the join check
+// holds over every attempt. A 429 under a hold may still be retried
+// into a final one, so the number of attempts a final 429 took is not
+// asserted.
+func TestRealClientExhaustsBudgets(t *testing.T) {
+	var traceBuf, accessBuf bytes.Buffer
+	s, ts := tracedService(t, Config{
+		// The zero Degrade is refuse: an unaffordable fit answers 429.
+		Tenants: []TenantConfig{
+			{ID: "alpha", Budget: mechanism.Guarantee{Epsilon: 6}},
+			{ID: "beta", Budget: mechanism.Guarantee{Epsilon: 2.5}},
+		},
+		WALDir: t.TempDir(),
+	}, &traceBuf, &accessBuf)
+	defer s.CloseWALs()
+
+	// The stream: tenant uniform, endpoint by weight, then the
+	// request's own seed, from which its 24-row dataset, its candidates
+	// and its trace id all derive.
+	type request struct {
+		tenant, path, key string
+		body              []byte
+		header            http.Header
+	}
+	tenants := []string{"alpha", "beta"}
+	endpoints, weights := []string{"fit", "certify", "select", "density", "summary"}, []float64{2, 1, 1, 2, 2}
+	const quoted = 0.02
+	master := rng.New(1)
+	reqs := make([]request, 1000)
+	for i := range reqs {
+		tenant := tenants[master.Intn(len(tenants))]
+		endpoint := endpoints[master.Categorical(weights)]
+		seed := master.SplitSeed()
+		data := testData(seed, 24, 2)
+		var body any
+		switch endpoint {
+		case "fit":
+			body = FitRequest{Tenant: tenant, Seed: seed, Data: data}
+		case "certify":
+			body = CertifyRequest{Tenant: tenant, Data: data}
+		case "select":
+			g := rng.New(seed)
+			cands := make([]CandidateJSON, 3)
+			for c := range cands {
+				theta := make([]float64, 2)
+				for j := range theta {
+					theta[j] = g.Uniform(-1, 1)
+				}
+				cands[c] = CandidateJSON{Name: fmt.Sprintf("cand-%d", c), Theta: theta}
+			}
+			body = SelectRequest{Tenant: tenant, Seed: seed, Epsilon: quoted, Candidates: cands, Data: data}
+		case "density":
+			body = DensityRequest{Tenant: tenant, Seed: seed, Feature: 0, Lo: -1, Hi: 1, Epsilon: quoted, Bins: 8, Data: data}
+		case "summary":
+			body = SummaryRequest{Tenant: tenant, Seed: seed, Feature: 0, Lo: -1, Hi: 1, Bins: 8,
+				Quantiles: []float64{0.25, 0.5, 0.75}, Epsilon: quoted, Data: data}
+		}
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = request{tenant: tenant, path: "/v1/" + endpoint, body: b,
+			header: http.Header{"Traceparent": []string{obs.DeriveTraceContext(seed).Traceparent()}}}
+		if endpoint != "certify" {
+			reqs[i].key = fmt.Sprintf("lg-%d", seed)
+		}
+	}
+
+	// The transport records every attempt; one request's attempts are
+	// sequential, so each trace's attempts arrive in order.
+	type attempt struct {
+		traceparent, retryAfter, code string
+		status                        int
+	}
+	var mu sync.Mutex
+	var attempts []attempt
+	rc := client.New(client.Config{
+		BaseURL: ts.URL,
+		HTTP: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			resp, err := http.DefaultTransport.RoundTrip(r)
+			if err != nil {
+				return nil, err
+			}
+			a := attempt{traceparent: r.Header.Get("Traceparent"), retryAfter: resp.Header.Get("Retry-After"), status: resp.StatusCode}
+			if resp.StatusCode == http.StatusTooManyRequests {
+				b, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					return nil, err
+				}
+				var er ErrorResponse
+				if json.Unmarshal(b, &er) == nil {
+					a.code = er.Code
+				}
+				resp.Body = io.NopCloser(bytes.NewReader(b))
+			}
+			mu.Lock()
+			attempts = append(attempts, a)
+			mu.Unlock()
+			return resp, nil
+		})},
+		MaxAttempts:   3,
+		BaseBackoff:   time.Millisecond,
+		MaxBackoff:    5 * time.Millisecond,
+		MaxRetryAfter: 5 * time.Millisecond,
+		Seed:          1,
+	})
+	results := make([]*client.Result, len(reqs))
+	errs := make([]error, len(reqs))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				r := reqs[i]
+				results[i], errs[i] = rc.PostRaw(context.Background(), r.path, r.body, r.key, r.header)
+			}
+		}()
+	}
+	for i := range reqs {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+
+	var ok, refused, final int
+	finals := map[string]int{}
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Errorf("request %d (%s): %v", i, reqs[i].path, errs[i])
+			continue
+		}
+		switch {
+		case res.Status >= 200 && res.Status < 300:
+			ok++
+		case res.Status == http.StatusTooManyRequests:
+			refused++
+			var er ErrorResponse
+			if json.Unmarshal(res.Body, &er) == nil && er.Code == "budget_exhausted" {
+				final++
+				finals[reqs[i].tenant]++
+			}
+		default:
+			t.Errorf("request %d (%s): HTTP %d: %s", i, reqs[i].path, res.Status, res.Body)
+		}
+	}
+	t.Logf("%d ok, %d refused (%d final) in %d attempt(s)", ok, refused, final, len(attempts))
+
+	prev := map[string]attempt{}
+	for _, a := range attempts {
+		if p, seen := prev[a.traceparent]; seen && p.status == http.StatusTooManyRequests && p.retryAfter == "" {
+			t.Errorf("%s: an attempt follows a 429 without Retry-After", a.traceparent)
+		}
+		if a.code == "budget_exhausted" && a.retryAfter != "" {
+			t.Errorf("%s: a budget_exhausted 429 carries Retry-After %q", a.traceparent, a.retryAfter)
+		}
+		prev[a.traceparent] = a
+	}
+	for _, tn := range s.Tenants().Tenants() {
+		g := tn.Acct.BasicComposition()
+		t.Logf("tenant %s spent eps=%.17g of %g across %d charge(s)", tn.ID, g.Epsilon, tn.Budget().Epsilon, tn.Acct.Count())
+		if finals[tn.ID] == 0 {
+			t.Errorf("tenant %s drew no final 429", tn.ID)
+		}
+		if g.Epsilon > tn.Budget().Epsilon {
+			t.Errorf("tenant %s overspent: %.17g > %.17g", tn.ID, g.Epsilon, tn.Budget().Epsilon)
+		}
+	}
+	audits := getCrossCheck(t, ts.URL)
+	if len(audits) != len(tenants) {
+		t.Errorf("crosscheck audits %d tenant(s), want %d", len(audits), len(tenants))
+	}
+	for _, a := range audits {
+		if a.Witness != "wal" || a.InFlight != 0 {
+			t.Errorf("crosscheck: %+v, want the wal witness with nothing in flight", a)
+		}
+	}
+	if _, rep := checkJoin(t, s, &traceBuf, &accessBuf); rep.Traces != len(reqs) || rep.Attempts != len(attempts) {
+		t.Errorf("join check saw %d attempt(s) across %d trace(s), want %d across %d", rep.Attempts, rep.Traces, len(attempts), len(reqs))
 	}
 }
 

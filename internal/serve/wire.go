@@ -31,7 +31,8 @@ type DataJSON struct {
 // dataset converts the wire form, enforcing rectangular rows and a
 // label per row when labels are present. Finiteness is NOT checked
 // here — the facade's ErrNonFiniteInput validation owns that, before
-// any ε is spent.
+// any ε is spent. The examples share dj's rows: each request decodes
+// its own, and nothing on the serve path keeps or mutates a row.
 func (dj *DataJSON) dataset() (*dataset.Dataset, error) {
 	if len(dj.X) == 0 {
 		return nil, fmt.Errorf("%w: empty dataset", errBadRequest)
@@ -52,7 +53,7 @@ func (dj *DataJSON) dataset() (*dataset.Dataset, error) {
 		if len(dj.Y) != 0 {
 			y = dj.Y[i]
 		}
-		d.Examples[i] = dataset.Example{X: append([]float64(nil), row...), Y: y}
+		d.Examples[i] = dataset.Example{X: row, Y: y}
 	}
 	return d, nil
 }
